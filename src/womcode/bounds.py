@@ -13,31 +13,30 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .combinadic import binomial
 from .errors import DomainError
 from .planner import CodeParams, plan
 
 
 def delta(v: int, m: int) -> int:
-    """Least d with sum_{i=0}^{d} C(m + d, i) >= v.
+    """Least d with S(d) = sum_{i=0}^{d} C(m + d, i) >= v.
 
     This is the minimum number of wits that must be adjoined to m wits so
-    that one extra write can select any of v messages.  All counting is
-    exact; at m = 0 the sum collapses to 2**d, so delta(v, 0) equals
-    ceil(log2(v)).
+    that one extra write can select any of v messages.  Pascal's rule gives
+    S(d+1) = 2 * S(d) + C(m + d, d + 1), and the binomial steps as
+    C(m+d+1, d+2) = C(m+d, d+1) * (m+d+1) / (d+2), so each growth costs a
+    few exact small-by-big operations.  At m = 0 the binomial term vanishes
+    and S(d) = 2**d, so delta(v, 0) equals ceil(log2(v)).
     """
     if v < 1:
         raise DomainError(f"message count must be >= 1, got {v}")
     if m < 0:
         raise DomainError(f"wit count must be >= 0, got {m}")
-    d = 0
-    while True:
-        total = 0
-        for i in range(d + 1):
-            total += binomial(m + d, i)
-            if total >= v:
-                return d
+    d, total, c = 0, 1, m  # total = S(d), c = C(m + d, d + 1)
+    while total < v:
+        total = 2 * total + c
+        c = c * (m + d + 1) // (d + 2)
         d += 1
+    return d
 
 
 def z_bound(v_list: Sequence[int]) -> int:

@@ -101,6 +101,7 @@ def cmd_plan(args) -> int:
     v = _cardinalities(args)
     params = plan(args.m, v)
     report = bounds.check_half_optimal(params)
+    rows = _capacity_rows(params)
     lines = [
         f"m: {params.m}",
         f"writes: {params.t}",
@@ -109,7 +110,7 @@ def cmd_plan(args) -> int:
         f"n: {params.n}",
         f"rate: {report.rate:.4f}",
     ]
-    for g, window, cap in _capacity_rows(params):
+    for g, window, cap in rows:
         lines.append(f"write {g}: window {window}, capacity {cap}")
     lines.append(f"z bound: {report.z}")
     lines.append(
@@ -136,7 +137,7 @@ def cmd_plan(args) -> int:
         "rate": report.rate,
         "capacities": [
             {"write": g, "window": w, "capacity": str(c)}
-            for g, w, c in _capacity_rows(params)
+            for g, w, c in rows
         ],
         "z": report.z,
         "half_optimal_ok": report.half_optimal_ok,

@@ -11,20 +11,45 @@ is feasible when each write's window can represent its cardinality:
 
 :func:`plan` chooses the h-sequence bottom-up: the smallest feasible h_t,
 then each h_i as the smallest value above h_{i+1} whose window capacity
-reaches v_i.  The capacities are strictly increasing in the window growth,
-so scanning the growth upward finds the minimum.
+reaches v_i.  Both window sums are W(N, d) = sum_{k=0}^{d} C(N, k) * q^k
+taken at N = h_next + d for growth d (the middle write drops the k = 0
+term, 1).  Pascal's rule C(N+1, k) = C(N, k) + C(N, k-1) gives
+
+  W(N+1, d+1) = (1 + q) * W(N, d) + C(N, d+1) * q^(d+1)
+
+so one walk from (h_next, 0) yields the capacity of every growth in turn at
+a few small-by-big multiplications per step.  Each step multiplies W by at
+least 1 + q >= 3, so the walk that finds the least covering growth ends
+within log3(v) + 1 steps.  The last window is found the same way, with a
+running power of 2^m - 1.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .combinadic import binomial
 from .errors import DomainError
 
-# Window growth past this is assumed pathological input, not a real code.
-_MAX_WINDOW_GROWTH = 10**6
+# Every cardinality must stay below this.  It bounds the length of each
+# window search and keeps every value printable: 2**8192 has 2467 decimal
+# digits, under Python's default 4300-digit int/str conversion limit.
+CARDINALITY_LIMIT = 2**8192
+
+
+def _check_cardinalities(v: Sequence[int]) -> None:
+    """Reject an empty list, or any cardinality below 2 or at the limit."""
+    if len(v) < 1:
+        raise DomainError("at least one write is required")
+    if any(vi < 2 for vi in v):
+        raise DomainError("every message cardinality must be at least 2")
+    if any(vi >= CARDINALITY_LIMIT for vi in v):
+        bits = max(v).bit_length()
+        raise DomainError(
+            f"message cardinalities must be below 2**{CARDINALITY_LIMIT.bit_length() - 1}, "
+            f"got one of {bits} bits"
+        )
 
 
 @dataclass(frozen=True)
@@ -40,14 +65,11 @@ class CodeParams:
             raise DomainError(f"m must be at least 2, got {self.m}")
         object.__setattr__(self, "v", tuple(self.v))
         object.__setattr__(self, "h", tuple(self.h))
-        if len(self.v) < 1:
-            raise DomainError("at least one write is required")
+        _check_cardinalities(self.v)
         if len(self.v) != len(self.h):
             raise DomainError(
                 f"v and h must have equal length, got {len(self.v)} and {len(self.h)}"
             )
-        if any(vi < 2 for vi in self.v):
-            raise DomainError("every message cardinality must be at least 2")
 
     @property
     def t(self) -> int:
@@ -73,6 +95,30 @@ class ConditionViolation:
     detail: str
 
 
+def _window_sums(hnext: int, q: int) -> Iterator[int]:
+    """Yield W(hnext + d, d) = sum_{k=0}^{d} C(hnext + d, k) * q^k for d = 0, 1, ...
+
+    `term` holds C(N, d+1) * q^(d+1) for the current N = hnext + d; the next
+    one, C(N+1, d+2) * q^(d+2), is term * q * (N+1) / (d+2), exact in integers.
+    """
+    w, term, d = 1, hnext * q, 0
+    while True:
+        yield w
+        w = (1 + q) * w + term
+        d += 1
+        term = term * (q * (hnext + d)) // (d + 1)
+
+
+def _window_sum(hi: int, hnext: int, q: int) -> int:
+    """W(hi, hi - hnext): the walk from (hnext, 0) taken hi - hnext steps."""
+    return next(itertools.islice(_window_sums(hnext, q), hi - hnext, None))
+
+
+def _least_growth(hnext: int, q: int, need: int) -> int:
+    """Least growth d >= 0 with W(hnext + d, d) >= need."""
+    return next(d for d, w in enumerate(_window_sums(hnext, q)) if w >= need)
+
+
 def capacity_first(h1: int, h2: int, m: int) -> int:
     """Message count of a first write: window h1, next window h2, 0..h1-h2 symbols
     written with values from {1, ..., 2^m - 1}."""
@@ -80,8 +126,7 @@ def capacity_first(h1: int, h2: int, m: int) -> int:
         raise DomainError(f"first write needs h1 > h2, got {h1} <= {h2}")
     if h2 < 0 or m < 2:
         raise DomainError(f"invalid window ({h1}, {h2}) or m={m}")
-    q = 2**m - 1
-    return sum(binomial(h1, k) * q**k for k in range(0, h1 - h2 + 1))
+    return _window_sum(h1, h2, 2**m - 1)
 
 
 def capacity_middle(hi: int, hnext: int, m: int) -> int:
@@ -92,8 +137,7 @@ def capacity_middle(hi: int, hnext: int, m: int) -> int:
         raise DomainError(f"middle write needs hi > hnext, got {hi} <= {hnext}")
     if hnext < 0 or m < 2:
         raise DomainError(f"invalid window ({hi}, {hnext}) or m={m}")
-    q = 2**m - 2
-    return sum(binomial(hi, k) * q**k for k in range(1, hi - hnext + 1))
+    return _window_sum(hi, hnext, 2**m - 2) - 1
 
 
 def capacity_last(ht: int, m: int) -> int:
@@ -115,45 +159,25 @@ def plan(m: int, v: Sequence[int]) -> CodeParams:
     smallest growth whose capacity covers that write's cardinality.
     """
     v = tuple(v)
-    if len(v) < 1:
-        raise DomainError("at least one write is required")
-    if any(vi < 2 for vi in v):
-        raise DomainError("every message cardinality must be at least 2")
+    _check_cardinalities(v)
     if m < 2:
         raise DomainError(f"m must be at least 2, got {m}")
-    t = len(v)
 
-    ht = 1
-    while capacity_last(ht, m) < v[-1]:
+    q = 2**m - 1
+    ht, power = 1, q
+    while power - 1 < v[-1]:
         ht += 1
-        if ht > _MAX_WINDOW_GROWTH:
-            raise DomainError(f"no last window below {_MAX_WINDOW_GROWTH} covers v_t={v[-1]}")
+        power *= q
     hs = [ht]
 
-    for i in range(t - 1, 1, -1):  # middle writes, bottom-up
-        hnext = hs[0]
-        d = 1
-        while capacity_middle(hnext + d, hnext, m) < v[i - 1]:
-            d += 1
-            if d > _MAX_WINDOW_GROWTH:
-                raise DomainError(
-                    f"window growth for write {i} exceeded {_MAX_WINDOW_GROWTH}"
-                )
-        hs.insert(0, hnext + d)
-
-    if t >= 2:
-        # Growth 0 can never cover v_1 >= 2 (its capacity sum is the single
-        # empty-mask term, 1), so the search starts at 1 and the ordering
-        # h_1 > h_2 holds by construction.
-        hnext = hs[0]
-        d = 1
-        while capacity_first(hnext + d, hnext, m) < v[0]:
-            d += 1
-            if d > _MAX_WINDOW_GROWTH:
-                raise DomainError(
-                    f"window growth for the first write exceeded {_MAX_WINDOW_GROWTH}"
-                )
-        hs.insert(0, hnext + d)
+    # Growth 0 covers nothing (its first-write sum is the single empty-mask
+    # term, 1, and its middle-write sum is empty), so every growth found is
+    # at least 1 and the ordering h_i > h_(i+1) holds by construction.  A
+    # middle write needs W >= v_i + 1 because its sum lacks the k = 0 term.
+    for vi in reversed(v[1:-1]):  # middle writes, bottom-up
+        hs.insert(0, hs[0] + _least_growth(hs[0], 2**m - 2, vi + 1))
+    if len(v) >= 2:
+        hs.insert(0, hs[0] + _least_growth(hs[0], q, v[0]))
 
     return CodeParams(m=m, v=v, h=tuple(hs))
 

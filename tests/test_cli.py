@@ -61,6 +61,22 @@ class TestPlanCommand:
         code, _, _ = run(capsys, "plan")
         assert code == 3
 
+    def test_two_2048_bit_writes(self, capsys):
+        code, out, _ = run(
+            capsys, "plan", "--bits", "2048", "--writes", "2", "--format", "machine"
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert record["h"] == [1717, 1293]
+        assert record["z"] == 2653
+
+    def test_oversized_cardinality_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "plan", "--bits", "16384", "--writes", "2")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "2**8192" in err
+        assert "Traceback" not in err
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as info:
             cli.main(["plan", "--m", "notanumber"])
@@ -142,6 +158,13 @@ class TestSessionCommands:
         code, _, err = run(capsys, "read", "--file", session)
         assert code == 5
         assert "corrupt" in err
+
+    def test_oversized_cardinality_in_file_is_corrupt(self, session, capsys):
+        with open(session, "w") as fh:
+            fh.write(f"womstate 1\nm 2\nt 2\nv {2**8192},2\nh 2,1\nwits 0000\n")
+        code, _, err = run(capsys, "read", "--file", session)
+        assert code == 5
+        assert "corrupt" in err and "2**8192" in err
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "read", "--file", str(tmp_path / "nope.wom"))
