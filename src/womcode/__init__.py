@@ -15,7 +15,7 @@ from .bounds import (
     rate,
     z_bound,
 )
-from .combinadic import KERNEL_BACKEND, binomial, rank, unrank
+from .combinadic import binomial, rank, unrank
 from .device import WitArray, load_state, save_state
 from .errors import (
     CapacityError,
@@ -44,7 +44,6 @@ __all__ = [
     "CorruptStateError",
     "DomainError",
     "GenerationReading",
-    "KERNEL_BACKEND",
     "MemoryImage",
     "WitArray",
     "WomCodeError",

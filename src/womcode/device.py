@@ -157,9 +157,11 @@ def load_state(path: str | os.PathLike) -> tuple[CodeParams, WitArray]:
         params = CodeParams(m=m, v=v, h=h)
     except DomainError as exc:
         fail(str(exc))
+    # Checked before validate, whose capacity walks take time growing with
+    # h: once the wit string matches m*h_1, the file's size bounds that work.
+    if len(wits) != params.n:
+        fail(f"wit string length {len(wits)} != m*h_1 = {params.n}")
     problems = validate(params)
     if problems:
         fail("; ".join(f"{p.condition}: {p.detail}" for p in problems))
-    if len(wits) != params.n:
-        fail(f"wit string length {len(wits)} != m*h_1 = {params.n}")
     return params, WitArray(params.n, [int(c) for c in wits])

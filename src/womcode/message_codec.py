@@ -14,6 +14,15 @@ them so that encoder and decoder agree:
     digit belongs to the leftmost written slot, with stored digit d
     standing for symbol value d + 1 (value 0 means "slot not written").
 
+The block sizes B(k) = C(h, k) * q^k come from one walk over k that takes
+C(h, kmin) once and then steps
+
+  B(k+1) = B(k) * (h - k) * q // (k + 1)
+
+exactly, since C(h, k+1) = C(h, k) * (h - k) / (k + 1).  The capacity, the
+block a message falls in and the offset of a payload's block all read the
+same walk.
+
 The last write of a code bypasses position modulation entirely:
 :func:`last_write_encode` maps a message M to the base-(2^m - 1)
 representation of M + 1 over the remaining window, which never produces
@@ -23,6 +32,7 @@ the all-zero word and never uses the erased symbol value 2^m - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .combinadic import binomial, rank, unrank
 from .errors import CorruptStateError, DomainError
@@ -56,12 +66,19 @@ class WritePayload:
     digits: tuple[int, ...]  # k values in [1, q], leftmost written slot first
 
 
+def _blocks(window: WriteWindow) -> Iterator[tuple[int, int]]:
+    """Yield (k, C(h, k) * q^k) for k = kmin, ..., kmax by the running step."""
+    h, q = window.h, window.q
+    block = binomial(h, window.kmin) * q**window.kmin
+    for k in range(window.kmin, window.kmax):
+        yield k, block
+        block = block * (h - k) * q // (k + 1)
+    yield window.kmax, block
+
+
 def window_capacity(window: WriteWindow) -> int:
     """Exact number of distinct payloads the window can represent."""
-    return sum(
-        binomial(window.h, k) * window.q**k
-        for k in range(window.kmin, window.kmax + 1)
-    )
+    return sum(block for _, block in _blocks(window))
 
 
 def message_to_payload(message: int, window: WriteWindow) -> WritePayload:
@@ -70,8 +87,7 @@ def message_to_payload(message: int, window: WriteWindow) -> WritePayload:
         raise DomainError(f"message must be nonnegative, got {message}")
     h, q = window.h, window.q
     rem = message
-    for k in range(window.kmin, window.kmax + 1):
-        block = binomial(h, k) * q**k
+    for k, block in _blocks(window):
         if rem < block:
             qk = q**k
             mask = unrank(rem // qk, h, k)
@@ -98,7 +114,11 @@ def payload_to_message(payload: WritePayload, window: WriteWindow) -> int:
         raise DomainError("payload mask/digits inconsistent with its window")
     if any(not 1 <= d <= q for d in payload.digits):
         raise DomainError(f"payload digits must lie in [1, {q}]")
-    base = sum(binomial(h, j) * q**j for j in range(window.kmin, k))
+    base = 0
+    for j, block in _blocks(window):
+        if j == k:
+            break
+        base += block
     value_index = 0
     for d in payload.digits:
         value_index = value_index * q + (d - 1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -165,6 +166,16 @@ class TestSessionCommands:
         code, _, err = run(capsys, "read", "--file", session)
         assert code == 5
         assert "corrupt" in err and "2**8192" in err
+
+    def test_huge_window_with_short_wit_string_fails_fast(self, session, capsys):
+        with open(session, "w") as fh:
+            fh.write("womstate 1\nm 2\nt 2\nv 7,2\nh 100000000,1\nwits 0011\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "read", "--file", session)
+        assert time.perf_counter() - start < 0.5
+        assert code == 5
+        assert out == ""
+        assert err.startswith("error: ") and "wit string length 4" in err
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "read", "--file", str(tmp_path / "nope.wom"))

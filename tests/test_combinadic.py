@@ -4,105 +4,121 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-import subprocess
-import sys
+import random
 
 import pytest
 
 from womcode import combinadic
-from womcode import _kernels_py
 from womcode.errors import DomainError
-
-BACKENDS = [pytest.param(_kernels_py, id="pure-python")]
-try:
-    from womcode import _kernels
-
-    BACKENDS.append(pytest.param(_kernels, id="compiled"))
-except ImportError:
-    _kernels = None
 
 
 def bits(text: str) -> list[int]:
     return [int(c) for c in text]
 
 
-def test_backend_is_reported():
-    assert combinadic.KERNEL_BACKEND in ("compiled", "pure-python")
+def rank_oracle(vector: list[int]) -> int:
+    """Independent oracle: the index as a sum of one math.comb per one."""
+    n = len(vector)
+    j = sum(vector)
+    r = 0
+    for idx, b in enumerate(vector):
+        if b:
+            r += math.comb(n - 1 - idx, j)
+            j -= 1
+    return r
 
 
-def test_env_var_forces_pure_python():
-    code = "import womcode.combinadic as c; print(c.KERNEL_BACKEND)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "WOMCODE_PURE_PYTHON": "1"},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "pure-python"
+def unrank_oracle(index: int, n: int, k: int) -> list[int]:
+    """Independent oracle: greedy scan that recomputes C(i, j) at every step."""
+    out = [0] * n
+    i = n - 1
+    r = index
+    for j in range(k, 0, -1):
+        while math.comb(i, j) > r:
+            i -= 1
+        r -= math.comb(i, j)
+        out[n - 1 - i] = 1
+        i -= 1
+    return out
 
 
-@pytest.mark.parametrize("kernels", BACKENDS)
 class TestKernels:
-    def test_worked_example(self, kernels):
-        assert kernels.rank(bits("0101100")) == 15
-        assert kernels.unrank(15, 7, 3) == bits("0101100")
+    def test_worked_example(self):
+        assert combinadic.rank(bits("0101100")) == 15
+        assert combinadic.unrank(15, 7, 3) == bits("0101100")
 
-    def test_rank_extremes(self, kernels):
-        assert kernels.rank(bits("0000111")) == 0
-        assert kernels.rank(bits("1110000")) == 34 == math.comb(7, 3) - 1
+    def test_rank_extremes(self):
+        assert combinadic.rank(bits("0000111")) == 0
+        assert combinadic.rank(bits("1110000")) == 34 == math.comb(7, 3) - 1
 
-    def test_unrank_zero_weight(self, kernels):
-        assert kernels.unrank(0, 5, 0) == [0] * 5
-        assert kernels.unrank(0, 0, 0) == []
+    def test_unrank_zero_weight(self):
+        assert combinadic.unrank(0, 5, 0) == [0] * 5
+        assert combinadic.unrank(0, 0, 0) == []
 
-    def test_binomial_small(self, kernels):
-        assert kernels.binomial(5, 3) == 10
-        assert kernels.binomial(7, 0) == 1
-        assert kernels.binomial(3, 5) == 0
+    def test_binomial_small(self):
+        assert combinadic.binomial(5, 3) == 10
+        assert combinadic.binomial(7, 0) == 1
+        assert combinadic.binomial(3, 5) == 0
 
-    def test_binomial_matches_stdlib(self, kernels):
+    def test_binomial_matches_stdlib(self):
         for n in range(0, 40):
             for k in range(0, n + 2):
-                assert kernels.binomial(n, k) == (math.comb(n, k) if k <= n else 0)
+                assert combinadic.binomial(n, k) == (math.comb(n, k) if k <= n else 0)
 
-    def test_bijection_exhaustive(self, kernels):
+    def test_bijection_exhaustive(self):
         for n in range(13):
             for k in range(n + 1):
                 total = math.comb(n, k)
                 seen = set()
                 for index in range(total):
-                    u = kernels.unrank(index, n, k)
+                    u = combinadic.unrank(index, n, k)
                     assert len(u) == n and sum(u) == k
-                    assert kernels.rank(u) == index
+                    assert combinadic.rank(u) == index
                     seen.add(tuple(u))
                 assert len(seen) == total
 
-    def test_rank_monotone_in_lexical_order(self, kernels):
+    def test_rank_monotone_in_lexical_order(self):
         n, k = 9, 4
         vectors = sorted(
             "".join("1" if i in ones else "0" for i in range(n))
             for ones in itertools.combinations(range(n), k)
         )
-        ranks = [kernels.rank(bits(v)) for v in vectors]
+        ranks = [combinadic.rank(bits(v)) for v in vectors]
         assert ranks == list(range(math.comb(n, k)))
 
 
-def test_backends_agree_on_large_inputs():
-    if _kernels is None:
-        pytest.skip("compiled kernels not built")
-    import random
+def test_unrank_enumerates_in_lexical_order():
+    # itertools.combinations yields the positions of the ones in lexical
+    # order of their left-first index tuples; reversed, that is the
+    # ascending order of the 0/1 strings.
+    for n in range(13):
+        for k in range(n + 1):
+            expected = [
+                [1 if i in ones else 0 for i in range(n)]
+                for ones in itertools.combinations(range(n), k)
+            ][::-1]
+            assert [combinadic.unrank(x, n, k) for x in range(math.comb(n, k))] == expected
 
+
+def test_kernels_agree_with_oracles_on_large_inputs():
     rng = random.Random(20260814)
-    for _ in range(200):
-        n = rng.randrange(1, 200)
-        k = rng.randrange(0, n + 1)
-        index = rng.randrange(math.comb(n, k))
-        u = _kernels.unrank(index, n, k)
-        assert u == _kernels_py.unrank(index, n, k)
-        assert _kernels.rank(u) == _kernels_py.rank(u) == index
-        assert _kernels.binomial(n, k) == _kernels_py.binomial(n, k)
+    for case in range(100):
+        n = rng.randrange(1, 2001)
+        # A third of the cases sit near the middle, where C(n, k) is largest.
+        if case % 3:
+            k = rng.randrange(n + 1)
+        else:
+            k = min(n, max(0, n // 2 + rng.randrange(-3, 4)))
+        ones = set(rng.sample(range(n), k))
+        u = [1 if i in ones else 0 for i in range(n)]
+        index = rank_oracle(u)
+        assert combinadic.rank(u) == index
+        assert combinadic.unrank(index, n, k) == u
+        # The greedy oracle recomputes a binomial per position, so it runs
+        # on every tenth case only, at a random index and at the last one.
+        if case % 10 == 0:
+            for x in (rng.randrange(math.comb(n, k)), math.comb(n, k) - 1):
+                assert combinadic.unrank(x, n, k) == unrank_oracle(x, n, k)
 
 
 def test_big_binomial_against_additive_pascal_row():

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import pytest
 
+from womcode import combinadic
 from womcode.errors import CorruptStateError, DomainError
 from womcode.message_codec import (
+    _blocks,
     WritePayload,
     WriteWindow,
     last_write_decode,
@@ -47,6 +50,35 @@ class TestWindowCapacity:
         assert window_capacity(w) == sum(
             math.comb(6, k) * 3**k for k in range(1, 5)
         )
+
+    def test_block_walk_matches_comb_sum_on_random_windows(self):
+        rng = random.Random(20261017)
+        for case in range(300):
+            h = rng.randrange(1, 4001)
+            q = rng.choice((1, 2, 3, 6, 7))
+            kmin = rng.randrange(h + 1)
+            # Every tenth window spans the whole 0..h range of a small h;
+            # the rest cover up to 33 consecutive k anywhere in a larger one.
+            if case % 10 == 0:
+                h = rng.randrange(1, 300)
+                kmin, kmax = 0, h
+            else:
+                kmax = min(h, kmin + rng.randrange(33))
+            w = WriteWindow(h=h, q=q, kmin=kmin, kmax=kmax)
+            expected = [(k, math.comb(h, k) * q**k) for k in range(kmin, kmax + 1)]
+            assert list(_blocks(w)) == expected
+            capacity = sum(block for _, block in expected)
+            assert window_capacity(w) == capacity
+            for message in (0, capacity - 1, rng.randrange(capacity)):
+                payload = message_to_payload(message, w)
+                offset = 0
+                for k, block in expected:
+                    if message < offset + block:
+                        break
+                    offset += block
+                assert payload.k == k
+                assert combinadic.rank(payload.mask) == (message - offset) // q**k
+                assert payload_to_message(payload, w) == message
 
     def test_window_validation(self):
         with pytest.raises(DomainError):
