@@ -23,13 +23,8 @@ from .errors import (
     WomCodeError,
     WriteOnceViolation,
 )
-from .planner import (
-    CodeParams,
-    capacity_first,
-    capacity_last,
-    capacity_middle,
-    plan,
-)
+from .message_codec import window_capacity
+from .planner import CodeParams, check_cardinality_bits, plan, write_window
 from .wom_codec import decode, detect_generation, encode_write, fresh_image
 
 EXIT_OK = 0
@@ -58,6 +53,13 @@ def _parse_count_list(text: str) -> list[int]:
     return [_parse_count(part) for part in text.split(",")]
 
 
+def _power_of_two(bits: int) -> int:
+    """2**bits, refused before it is built if it would reach the cardinality
+    limit; the number has bits + 1 bits."""
+    check_cardinality_bits(bits + 1)
+    return 2**bits
+
+
 def _cardinalities(args) -> list[int]:
     """Resolve --v / --bits+--writes into the per-write cardinality list."""
     if args.v is not None:
@@ -72,7 +74,7 @@ def _cardinalities(args) -> list[int]:
         raise DomainError("need --v or --bits to fix the write cardinalities")
     if args.writes is None:
         raise DomainError("--bits needs --writes to know how many writes to plan")
-    return [2**args.bits] * args.writes
+    return [_power_of_two(args.bits)] * args.writes
 
 
 def _emit(args, lines: list[str], record: dict) -> None:
@@ -82,26 +84,14 @@ def _emit(args, lines: list[str], record: dict) -> None:
         print("\n".join(lines))
 
 
-def _capacity_rows(params: CodeParams) -> list[tuple[int, int, int]]:
-    """(generation, window size, capacity) for each write of the plan."""
-    h, m, t = params.h, params.m, params.t
-    rows = []
-    for g in range(1, t + 1):
-        if g == t:
-            cap = capacity_last(h[t - 1], m)
-        elif g == 1:
-            cap = capacity_first(h[0], h[1], m)
-        else:
-            cap = capacity_middle(h[g - 1], h[g], m)
-        rows.append((g, h[g - 1], cap))
-    return rows
-
-
 def cmd_plan(args) -> int:
     v = _cardinalities(args)
     params = plan(args.m, v)
     report = bounds.check_half_optimal(params)
-    rows = _capacity_rows(params)
+    rows = [
+        (g, params.h[g - 1], window_capacity(write_window(params.m, params.h, g)))
+        for g in range(1, params.t + 1)
+    ]
     lines = [
         f"m: {params.m}",
         f"writes: {params.t}",
@@ -280,7 +270,7 @@ def cmd_table(args) -> int:
 def cmd_rates(args) -> int:
     if args.tmax < 2:
         raise DomainError(f"--tmax must be >= 2, got {args.tmax}")
-    v = 2**args.bits
+    v = _power_of_two(args.bits)
     header = "t,position_modulation,fiat_shamir,rivest_shamir_linear,cohen"
     lines = [header]
     rows = []
@@ -384,9 +374,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"error: memory exhausted: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except WomCodeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

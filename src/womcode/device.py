@@ -67,7 +67,6 @@ class WitArray:
         self.bits = [0] * n if bits is None else list(bits)
         if len(self.bits) != n or any(b not in (0, 1) for b in self.bits):
             raise DomainError("bits must be n values of 0 or 1")
-        self.programs_issued = 0
 
     def program(self, positions: Iterable[int]) -> None:
         """Set the listed wits to 1 (no-op on wits already programmed)."""
@@ -76,7 +75,6 @@ class WitArray:
             raise DomainError(f"wit index out of range for n={self.n}")
         for p in positions:
             self.bits[p] = 1
-        self.programs_issued += 1
 
     def apply_image(self, image: MemoryImage) -> None:
         """Program the array to hold `image`, refusing any 1 -> 0 transition."""

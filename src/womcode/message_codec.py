@@ -21,7 +21,8 @@ C(h, kmin) once and then steps
 
 exactly, since C(h, k+1) = C(h, k) * (h - k) / (k + 1).  The capacity, the
 block a message falls in and the offset of a payload's block all read the
-same walk.
+same walk; only a window that may write all h slots takes its capacity in
+closed form, (1 + q)^h less the blocks below kmin.
 
 The last write of a code bypasses position modulation entirely:
 :func:`last_write_encode` maps a message M to the base-(2^m - 1)
@@ -77,7 +78,14 @@ def _blocks(window: WriteWindow) -> Iterator[tuple[int, int]]:
 
 
 def window_capacity(window: WriteWindow) -> int:
-    """Exact number of distinct payloads the window can represent."""
+    """Exact number of distinct payloads the window can represent.
+
+    A window that may write every slot (kmax == h) sums to (1 + q)^h by the
+    binomial theorem, less the blocks below kmin.
+    """
+    h, q = window.h, window.q
+    if window.kmax == h:
+        return (1 + q) ** h - sum(binomial(h, k) * q**k for k in range(window.kmin))
     return sum(block for _, block in _blocks(window))
 
 

@@ -2,18 +2,27 @@
 
 A code instance is the tuple (m, v, h): symbols of m wits each, message
 cardinalities v_1..v_t for the t successive writes, and window sizes
-h_1 > h_2 > ... > h_t.  The code uses n = m * h_1 wits.  A parameter set
-is feasible when each write's window can represent its cardinality:
+h_1 > h_2 > ... > h_t.  The code uses n = m * h_1 wits.
 
-  first write   sum_{k=0}^{h1-h2} C(h1, k) * (2^m - 1)^k  >=  v_1
-  middle write  sum_{k=1}^{hi-h(i+1)} C(hi, k) * (2^m - 2)^k  >=  v_i
-  last write    (2^m - 1)^{ht} - 1  >=  v_t
+Write g is one window (:func:`write_window`): h_g zero symbols, values from
+{1, ..., q} for each written slot, and a range kmin..kmax for how many
+slots it writes.  Its capacity is sum_{k=kmin}^{kmax} C(h_g, k) * q^k:
+
+  first write   h_1, q = 2^m - 1, k in 0..h_1 - h_2
+  middle write  h_g, q = 2^m - 2, k in 1..h_g - h_(g+1)  (the zero count
+                must drop below h_g, so the empty write is not available)
+  last write    h_t, q = 2^m - 2, k in 1..h_t, whose capacity is
+                (2^m - 1)^h_t - 1: every word over {0, ..., 2^m - 2}
+                except all-zero, the words the last write stores
+
+A parameter set is feasible when each write's capacity reaches v_g.
 
 :func:`plan` chooses the h-sequence bottom-up: the smallest feasible h_t,
 then each h_i as the smallest value above h_{i+1} whose window capacity
-reaches v_i.  Both window sums are W(N, d) = sum_{k=0}^{d} C(N, k) * q^k
-taken at N = h_next + d for growth d (the middle write drops the k = 0
-term, 1).  Pascal's rule C(N+1, k) = C(N, k) + C(N, k-1) gives
+reaches v_i.  The first and middle sums are
+W(N, d) = sum_{k=0}^{d} C(N, k) * q^k taken at N = h_next + d for growth d
+(the middle write drops the k = 0 term, 1).  Pascal's rule
+C(N+1, k) = C(N, k) + C(N, k-1) gives
 
   W(N+1, d+1) = (1 + q) * W(N, d) + C(N, d+1) * q^(d+1)
 
@@ -26,11 +35,11 @@ running power of 2^m - 1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import DomainError
+from .message_codec import WriteWindow, window_capacity
 
 # Every cardinality must stay below this.  It bounds the length of each
 # window search and keeps every value printable: 2**8192 has 2467 decimal
@@ -44,11 +53,16 @@ def _check_cardinalities(v: Sequence[int]) -> None:
         raise DomainError("at least one write is required")
     if any(vi < 2 for vi in v):
         raise DomainError("every message cardinality must be at least 2")
-    if any(vi >= CARDINALITY_LIMIT for vi in v):
-        bits = max(v).bit_length()
+    check_cardinality_bits(max(v).bit_length())
+
+
+def check_cardinality_bits(bits: int) -> None:
+    """Reject a cardinality of `bits` bits that would reach the limit, before
+    a caller builds it."""
+    limit_bits = CARDINALITY_LIMIT.bit_length() - 1
+    if bits > limit_bits:
         raise DomainError(
-            f"message cardinalities must be below 2**{CARDINALITY_LIMIT.bit_length() - 1}, "
-            f"got one of {bits} bits"
+            f"message cardinalities must be below 2**{limit_bits}, got one of {bits} bits"
         )
 
 
@@ -109,45 +123,29 @@ def _window_sums(hnext: int, q: int) -> Iterator[int]:
         term = term * (q * (hnext + d)) // (d + 1)
 
 
-def _window_sum(hi: int, hnext: int, q: int) -> int:
-    """W(hi, hi - hnext): the walk from (hnext, 0) taken hi - hnext steps."""
-    return next(itertools.islice(_window_sums(hnext, q), hi - hnext, None))
-
-
 def _least_growth(hnext: int, q: int, need: int) -> int:
     """Least growth d >= 0 with W(hnext + d, d) >= need."""
     return next(d for d, w in enumerate(_window_sums(hnext, q)) if w >= need)
 
 
-def capacity_first(h1: int, h2: int, m: int) -> int:
-    """Message count of a first write: window h1, next window h2, 0..h1-h2 symbols
-    written with values from {1, ..., 2^m - 1}."""
-    if h1 <= h2:
-        raise DomainError(f"first write needs h1 > h2, got {h1} <= {h2}")
-    if h2 < 0 or m < 2:
-        raise DomainError(f"invalid window ({h1}, {h2}) or m={m}")
-    return _window_sum(h1, h2, 2**m - 1)
-
-
-def capacity_middle(hi: int, hnext: int, m: int) -> int:
-    """Message count of a middle write: window hi, next window hnext, 1..hi-hnext
-    symbols written with values from {1, ..., 2^m - 2}; the empty write is not
-    available because the zero count must drop below hi."""
-    if hi <= hnext:
-        raise DomainError(f"middle write needs hi > hnext, got {hi} <= {hnext}")
-    if hnext < 0 or m < 2:
-        raise DomainError(f"invalid window ({hi}, {hnext}) or m={m}")
-    return _window_sum(hi, hnext, 2**m - 2) - 1
-
-
-def capacity_last(ht: int, m: int) -> int:
-    """Message count of the last write: every value over ht symbols from
-    {0, ..., 2^m - 2} except all-zero."""
-    if ht < 1:
-        raise DomainError(f"last window must be positive, got {ht}")
+def write_window(m: int, h: Sequence[int], g: int) -> WriteWindow:
+    """The window of write g (1-based) of a code with symbols of m wits and
+    window sizes h: the first, a middle or the last write's window."""
+    t = len(h)
     if m < 2:
         raise DomainError(f"m must be at least 2, got {m}")
-    return (2**m - 1) ** ht - 1
+    if not 1 <= g <= t:
+        raise DomainError(f"write {g} is not one of the {t} writes")
+    hg = h[g - 1]
+    if g == t:
+        if hg < 1:
+            raise DomainError(f"last window must be positive, got {hg}")
+        return WriteWindow(h=hg, q=2**m - 2, kmin=1, kmax=hg)
+    if hg <= h[g]:
+        raise DomainError(f"write {g} needs h_{g} > h_{g + 1}, got {hg} <= {h[g]}")
+    if g == 1:
+        return WriteWindow(h=hg, q=2**m - 1, kmin=0, kmax=hg - h[g])
+    return WriteWindow(h=hg, q=2**m - 2, kmin=1, kmax=hg - h[g])
 
 
 def plan(m: int, v: Sequence[int]) -> CodeParams:
@@ -202,30 +200,16 @@ def validate(params: CodeParams) -> list[ConditionViolation]:
     if h[-1] < 1:
         out.append(ConditionViolation("window-order", f"h_{t}={h[-1]} not positive"))
 
-    if t >= 2 and h[0] > h[1]:
-        cap = capacity_first(h[0], h[1], m)
-        if cap < v[0]:
+    for g in range(1, t + 1):
+        well_ordered = h[g - 1] > h[g] if g < t else h[-1] >= 1
+        if not well_ordered:
+            continue
+        cap = window_capacity(write_window(m, h, g))
+        if cap < v[g - 1]:
+            kind = "last" if g == t else "first" if g == 1 else "middle"
             out.append(
                 ConditionViolation(
-                    "first-write-capacity", f"capacity {cap} below v_1={v[0]}"
-                )
-            )
-    for i in range(2, t):
-        if h[i - 1] > h[i]:
-            cap = capacity_middle(h[i - 1], h[i], m)
-            if cap < v[i - 1]:
-                out.append(
-                    ConditionViolation(
-                        "middle-write-capacity",
-                        f"capacity {cap} below v_{i}={v[i - 1]}",
-                    )
-                )
-    if h[-1] >= 1:
-        cap = capacity_last(h[-1], m)
-        if cap < v[-1]:
-            out.append(
-                ConditionViolation(
-                    "last-write-capacity", f"capacity {cap} below v_{t}={v[-1]}"
+                    f"{kind}-write-capacity", f"capacity {cap} below v_{g}={v[g - 1]}"
                 )
             )
     return out

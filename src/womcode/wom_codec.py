@@ -26,13 +26,12 @@ from typing import NamedTuple
 from .errors import CapacityError, CorruptStateError, DomainError
 from .message_codec import (
     WritePayload,
-    WriteWindow,
     last_write_decode,
     last_write_encode,
     message_to_payload,
     payload_to_message,
 )
-from .planner import CodeParams
+from .planner import CodeParams, write_window
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,7 @@ class MemoryImage:
                 f"image must hold {self.params.h[0]} symbols, got {len(self.symbols)}"
             )
         top = self.params.erased
-        if any(not 0 <= s <= top for s in self.symbols):
+        if self.symbols and not 0 <= min(self.symbols) <= max(self.symbols) <= top:
             raise DomainError(f"symbol values must lie in [0, {top}]")
 
     @property
@@ -104,21 +103,6 @@ def erase_to(image: MemoryImage, target_zeros: int) -> MemoryImage:
     return MemoryImage(image.params, tuple(symbols))
 
 
-def _window_for(params: CodeParams, generation: int) -> WriteWindow:
-    """Payload window of a non-final generation."""
-    h = params.h
-    if generation == 1:
-        return WriteWindow(
-            h=h[0], q=2**params.m - 1, kmin=0, kmax=h[0] - h[1]
-        )
-    return WriteWindow(
-        h=h[generation - 1],
-        q=2**params.m - 2,
-        kmin=1,
-        kmax=h[generation - 1] - h[generation],
-    )
-
-
 def encode_write(image: MemoryImage, message: int) -> MemoryImage:
     """Encode the next write onto `image` and return the new image.
 
@@ -141,35 +125,28 @@ def encode_write(image: MemoryImage, message: int) -> MemoryImage:
             f"(cardinality {params.v[generation - 1]})"
         )
 
+    # A fresh image already holds h_1 zeros, so staging leaves it unchanged.
+    staged = erase_to(image, params.h[generation - 1])
     if generation == t:
-        staged = image if t == 1 else erase_to(image, params.h[t - 1])
-        digits = last_write_encode(message, params.h[t - 1], params.m)
-        symbols = list(staged.symbols)
-        slot = 0
-        for i, s in enumerate(symbols):
-            if s == 0:
-                symbols[i] = digits[slot]
-                slot += 1
-        return MemoryImage(params, tuple(symbols))
-
-    if generation == 1:
-        staged = image
-        slots = list(range(params.h[0]))
+        values = last_write_encode(message, params.h[t - 1], params.m)
     else:
-        staged = erase_to(image, params.h[generation - 1])
-        slots = [i for i, s in enumerate(staged.symbols) if s == 0]
-
-    payload = message_to_payload(message, _window_for(params, generation))
-    symbols = list(staged.symbols)
-    digit = iter(payload.digits)
-    for j, marked in enumerate(payload.mask):
-        if marked:
-            symbols[slots[j]] = next(digit)
-    return MemoryImage(params, tuple(symbols))
+        window = write_window(params.m, params.h, generation)
+        payload = message_to_payload(message, window)
+        digit = iter(payload.digits)
+        values = [next(digit) if marked else 0 for marked in payload.mask]
+    # The zero symbols of the staged image are the window's slots, in order.
+    fill = iter(values)
+    return MemoryImage(params, [next(fill) if s == 0 else s for s in staged.symbols])
 
 
 def decode(image: MemoryImage) -> GenerationReading:
-    """Recover (generation, message) from an image a legal write produced."""
+    """Recover (generation, message) from an image.
+
+    Any image consistent with the latest write decodes; the earlier writes
+    are not checked, so some images no legal write sequence produces decode
+    too.  Every other image raises :class:`CorruptStateError`, and no other
+    error is raised.
+    """
     params = image.params
     t, erased = params.t, params.erased
     generation = detect_generation(image)
@@ -196,7 +173,8 @@ def decode(image: MemoryImage) -> GenerationReading:
         digits = tuple(image.symbols[i] for i in slots if image.symbols[i] != 0)
         payload = WritePayload(k=sum(mask), mask=mask, digits=digits)
         try:
-            message = payload_to_message(payload, _window_for(params, generation))
+            window = write_window(params.m, params.h, generation)
+            message = payload_to_message(payload, window)
         except DomainError as exc:
             raise CorruptStateError(f"undecodable write {generation}: {exc}") from exc
 

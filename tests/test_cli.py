@@ -78,6 +78,29 @@ class TestPlanCommand:
         assert err.startswith("error: ") and "2**8192" in err
         assert "Traceback" not in err
 
+    def test_huge_bits_rejected_before_building_the_cardinality(self, capsys):
+        # 2**(10**12) would need about 125 GB; the limit is checked first.
+        huge = str(10**12)
+        for argv in (
+            ("plan", "--bits", huge, "--writes", "2"),
+            ("bound", "--bits", huge, "--writes", "2"),
+            ("rates", "--bits", huge, "--tmax", "3"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 3
+            assert out == ""
+            assert err == (
+                "error: message cardinalities must be below 2**8192, "
+                f"got one of {10**12 + 1} bits\n"
+            )
+
+    def test_bits_limit_matches_cardinality_limit(self, capsys):
+        # 2**8192 is the first cardinality refused, whether given as --bits or --v.
+        by_bits = run(capsys, "plan", "--bits", "8192", "--writes", "2")
+        by_v = run(capsys, "plan", "--v", f"{2**8192},{2**8192}")
+        assert by_bits == by_v
+        assert by_bits[0] == 3 and "got one of 8193 bits" in by_bits[2]
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as info:
             cli.main(["plan", "--m", "notanumber"])

@@ -46,7 +46,6 @@ class TestWitArray:
         arr.program({1, 3})
         assert arr.bits == [0, 1, 0, 1]
         assert arr.serialize() == "0101"
-        assert arr.programs_issued == 1
 
     def test_program_is_idempotent(self):
         arr = WitArray(4, [0, 1, 0, 1])

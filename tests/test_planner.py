@@ -8,50 +8,65 @@ import random
 import pytest
 
 from womcode.errors import DomainError
-from womcode.planner import (
-    CodeParams,
-    capacity_first,
-    capacity_last,
-    capacity_middle,
-    plan,
-    validate,
-)
+from womcode.message_codec import WriteWindow, window_capacity
+from womcode.planner import CodeParams, plan, validate, write_window
 
 V56 = 2**56
 
 
+def capacity(m: int, h, g: int) -> int:
+    """Capacity of write g of a code with window sizes h."""
+    return window_capacity(write_window(m, h, g))
+
+
 class TestCapacities:
+    # A middle write g = 2 needs some h_1 above it; its value does not matter.
+
     def test_first_small(self):
-        assert capacity_first(2, 1, 2) == 7  # 1 + C(2,1)*3
-        assert capacity_first(1, 0, 2) == 4  # 1 + 3
+        assert capacity(2, (2, 1), 1) == 7  # 1 + C(2,1)*3
+        assert capacity(2, (1, 0), 1) == 4  # 1 + 3
 
     def test_first_covers_56_bits(self):
-        assert capacity_first(49, 36, 2) >= V56
-        assert capacity_first(48, 36, 2) < V56  # 49 is minimal
+        assert capacity(2, (49, 36), 1) >= V56
+        assert capacity(2, (48, 36), 1) < V56  # 49 is minimal
 
     def test_middle_small(self):
-        assert capacity_middle(2, 1, 2) == 4  # C(2,1)*2
+        assert capacity(2, (3, 2, 1), 2) == 4  # C(2,1)*2
         for h in range(2, 30):
-            assert capacity_middle(h, h - 1, 2) == 2 * h
+            assert capacity(2, (h + 1, h, h - 1), 2) == 2 * h
 
     def test_middle_covers_56_bits(self):
-        assert capacity_middle(51, 36, 2) >= V56
-        assert capacity_middle(50, 36, 2) < V56
+        assert capacity(2, (52, 51, 36), 2) >= V56
+        assert capacity(2, (51, 50, 36), 2) < V56
 
     def test_last(self):
-        assert capacity_last(1, 2) == 2
-        assert capacity_last(36, 2) == 3**36 - 1
-        assert capacity_last(36, 2) >= V56
-        assert capacity_last(35, 2) < V56
-        assert capacity_last(20, 3) == 7**20 - 1 >= V56
+        assert capacity(2, (1,), 1) == 2
+        assert capacity(2, (36,), 1) == 3**36 - 1
+        assert capacity(2, (36,), 1) >= V56
+        assert capacity(2, (35,), 1) < V56
+        assert capacity(3, (20,), 1) == 7**20 - 1 >= V56
+        # The last window of a longer code is the same window.
+        assert capacity(2, (49, 36), 2) == 3**36 - 1
+
+    def test_windows(self):
+        h = (139, 130, 36)
+        assert write_window(2, h, 1) == WriteWindow(h=139, q=3, kmin=0, kmax=9)
+        assert write_window(2, h, 2) == WriteWindow(h=130, q=2, kmin=1, kmax=94)
+        assert write_window(2, h, 3) == WriteWindow(h=36, q=2, kmin=1, kmax=36)
+        assert write_window(3, (31, 20), 1) == WriteWindow(h=31, q=7, kmin=0, kmax=11)
 
     def test_ordering_required(self):
         with pytest.raises(DomainError):
-            capacity_first(3, 3, 2)
+            write_window(2, (3, 3), 1)
         with pytest.raises(DomainError):
-            capacity_middle(3, 4, 2)
+            write_window(2, (5, 3, 4), 2)
         with pytest.raises(DomainError):
-            capacity_last(0, 2)
+            write_window(2, (0,), 1)
+
+    def test_write_index_and_m_checked(self):
+        for m, h, g in [(2, (2, 1), 0), (2, (2, 1), 3), (1, (2, 1), 1)]:
+            with pytest.raises(DomainError):
+                write_window(m, h, g)
 
 
 class TestPlan:
@@ -75,22 +90,23 @@ class TestPlan:
         for v1 in range(2, 40):
             for v2 in range(2, 40):
                 h2 = 1
-                while capacity_last(h2, 2) < v2:
+                while capacity(2, (h2,), 1) < v2:
                     h2 += 1
                 h1 = h2 + 1
-                while capacity_first(h1, h2, 2) < v1:
+                while capacity(2, (h1, h2), 1) < v1:
                     h1 += 1
                 assert plan(2, [v1, v2]).h == (h1, h2)
 
     def test_greedy_steps_are_minimal(self):
         params = plan(2, [V56] * 10)
         h, m = params.h, params.m
-        assert capacity_last(h[-1], m) >= V56 > capacity_last(h[-1] - 1, m)
+        assert capacity(m, (h[-1],), 1) >= V56 > capacity(m, (h[-1] - 1,), 1)
         for i in range(1, len(h) - 1):
-            assert capacity_middle(h[i], h[i + 1], m) >= V56
-            assert capacity_middle(h[i] - 1, h[i + 1], m) < V56
-        assert capacity_first(h[0], h[1], m) >= V56
-        assert capacity_first(h[0] - 1, h[1], m) < V56
+            assert capacity(m, h, i + 1) >= V56
+            shrunk = h[:i] + (h[i] - 1,) + h[i + 1 :]
+            assert capacity(m, shrunk, i + 1) < V56
+        assert capacity(m, h, 1) >= V56
+        assert capacity(m, (h[0] - 1,) + h[1:], 1) < V56
 
     def test_nondecreasing_increments_for_equal_cardinalities(self):
         rng = random.Random(7)

@@ -10,12 +10,8 @@ import pytest
 
 from womcode.bounds import delta, z_bound
 from womcode.errors import DomainError
-from womcode.planner import (
-    CodeParams,
-    capacity_first,
-    capacity_middle,
-    plan,
-)
+from womcode.message_codec import WriteWindow, window_capacity
+from womcode.planner import CodeParams, plan, write_window
 
 
 # --- Oracles: every sum rebuilt from binomials for each candidate growth. ---
@@ -88,8 +84,23 @@ def test_capacities_match_binomial_sums():
         m = rng.choice([2, 3, 4])
         hnext = rng.randrange(0, 300)
         hi = hnext + rng.randint(1, 60)
-        assert capacity_first(hi, hnext, m) == oracle_capacity_first(hi, hnext, m)
-        assert capacity_middle(hi, hnext, m) == oracle_capacity_middle(hi, hnext, m)
+        first = window_capacity(write_window(m, (hi, hnext), 1))
+        middle = window_capacity(write_window(m, (hi + 1, hi, hnext), 2))
+        assert first == oracle_capacity_first(hi, hnext, m)
+        assert middle == oracle_capacity_middle(hi, hnext, m)
+        if hnext >= 1:
+            last = window_capacity(write_window(m, (hi, hnext), 2))
+            assert last == (2**m - 1) ** hnext - 1
+
+
+def test_full_window_closed_form_matches_binomial_sum():
+    rng = random.Random(5)
+    for _ in range(500):
+        h = rng.randrange(0, 400)
+        q = rng.choice([1, 2, 3, 6, 7, 14, 15])
+        kmin = rng.randint(0, min(h, 3)) if rng.random() < 0.8 else rng.randint(0, h)
+        expected = sum(math.comb(h, k) * q**k for k in range(kmin, h + 1))
+        assert window_capacity(WriteWindow(h=h, q=q, kmin=kmin, kmax=h)) == expected
 
 
 def test_plan_and_z_bound_match_growth_scan():

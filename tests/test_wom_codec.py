@@ -228,6 +228,54 @@ class TestExhaustiveSmallCodes:
         assert len(seen) == 4
 
 
+def reachable_images(params):
+    """Every image some legal write sequence leaves, mapped to its last write."""
+    last = {}
+    frontier = [fresh_image(params)]
+    while frontier:
+        image = frontier.pop()
+        fresh = all(s == 0 for s in image.symbols)
+        generation = 1 if fresh else detect_generation(image) + 1
+        if generation > params.t:
+            continue
+        for message in range(params.v[generation - 1]):
+            written = encode_write(image, message)
+            assert last.setdefault(written.symbols, (generation, message)) == (
+                generation,
+                message,
+            ), "one image left by two different writes"
+            if written.symbols != image.symbols:
+                frontier.append(written)
+    return last
+
+
+class TestDecoderContract:
+    """decode is total over symbol images: it returns a reading or raises
+    CorruptStateError, and every image a legal write leaves reads back as
+    that write."""
+
+    @pytest.mark.parametrize(
+        "m,v",
+        [(2, [4, 4, 4]), (2, [7, 2]), (3, [10, 6]), (2, [3, 3, 3, 2]), (2, [5, 5])],
+    )
+    def test_every_image_decodes_or_is_corrupt(self, m, v):
+        params = plan(m, v)
+        assert params.n <= 12
+        last = reachable_images(params)
+        assert (0,) * params.h[0] in last  # the free first write of message 0
+        readable = 0
+        for symbols in itertools.product(range(params.erased + 1), repeat=params.h[0]):
+            try:
+                reading = decode(img(params, *symbols))
+            except CorruptStateError:
+                assert symbols not in last, symbols
+                continue
+            readable += 1
+            if symbols in last:
+                assert reading == last[symbols], symbols
+        assert readable >= len(last)
+
+
 class TestRandomizedLifecycles:
     def test_random_codes_roundtrip(self):
         rng = random.Random(20260814)
