@@ -193,7 +193,7 @@ def cmd_erase_status(args) -> int:
     generation = detect_generation(image)
     fresh = all(s == 0 for s in image.symbols)
     remaining = params.t if fresh else params.t - generation
-    programmed = sum(arr.bits)
+    programmed = arr.word.bit_count()
     lines = [
         f"generation: {generation}",
         f"zero symbols: {image.zero_count} of {params.h[0]}",

@@ -6,6 +6,14 @@ any update that would clear a programmed wit raises
 wits [j*m, (j+1)*m) with the most significant bit at the lowest wit index,
 so for m = 2 the symbol sequence (2, 3) serializes to wits "1011".
 
+In memory the n wits are one int, ``WitArray.word``, with wit 0 as its most
+significant of n bits: ``format(word, f"0{n}b")`` is the wit string and
+``int(wits, 2)`` reads it back.  The write-once check is then
+``word & ~new == 0`` and the programmed count ``word.bit_count()``.  Images
+cross this boundary as wit strings, each symbol rendered or parsed once
+through a table of the distinct values present, so the cost stays linear in
+n for any m.
+
 Session state is a small versioned text file, bit-exact across runs:
 
     womstate 1
@@ -33,40 +41,48 @@ STATE_MAGIC = "womstate"
 STATE_VERSION = 1
 
 
-def symbols_to_bits(symbols: Iterable[int], m: int) -> list[int]:
-    """Render symbol values as their m-bit groups, MSB first within a group."""
-    bits: list[int] = []
-    for s in symbols:
-        if not 0 <= s < 2**m:
-            raise DomainError(f"symbol {s} does not fit in {m} wits")
-        bits.extend((s >> shift) & 1 for shift in range(m - 1, -1, -1))
-    return bits
+def _is_wit_string(wits: str) -> bool:
+    """True when every character is an ASCII 0 or 1.  ``int(x, 2)`` alone
+    would also take "0b11", "1_1", "+11" and surrounding whitespace."""
+    return wits.count("0") + wits.count("1") == len(wits)
 
 
-def bits_to_symbols(bits: Iterable[int], m: int) -> list[int]:
+def symbols_to_bits(symbols: Iterable[int], m: int) -> str:
+    """Render symbol values as one wit string of m-wit groups, MSB first
+    within a group."""
+    symbols = tuple(symbols)
+    groups = {s: format(s, f"0{m}b") for s in set(symbols)}
+    if groups and not (min(groups) >= 0 and max(groups).bit_length() <= m):
+        bad = next(s for s in symbols if s < 0 or s.bit_length() > m)
+        raise DomainError(f"symbol {bad} does not fit in {m} wits")
+    return "".join(map(groups.__getitem__, symbols))
+
+
+def bits_to_symbols(wits: str, m: int) -> list[int]:
     """Inverse of :func:`symbols_to_bits`."""
-    bits = list(bits)
-    if len(bits) % m:
-        raise DomainError(f"{len(bits)} wits do not form whole {m}-wit symbols")
-    out = []
-    for j in range(0, len(bits), m):
-        value = 0
-        for b in bits[j : j + m]:
-            value = (value << 1) | b
-        out.append(value)
-    return out
+    if len(wits) % m:
+        raise DomainError(f"{len(wits)} wits do not form whole {m}-wit symbols")
+    if not _is_wit_string(wits):
+        raise DomainError("wit string must be ASCII 0/1")
+    if not wits:  # the zip below takes m iterators, which n >= m bounds
+        return []
+    chunks = list(map("".join, zip(*[iter(wits)] * m)))
+    values = {c: int(c, 2) for c in set(chunks)}
+    return list(map(values.__getitem__, chunks))
 
 
 class WitArray:
     """n write-once bits; programming is idempotent, clearing is an error."""
 
-    def __init__(self, n: int, bits: Iterable[int] | None = None):
+    def __init__(self, n: int, wits: str | None = None):
         if n < 0:
             raise DomainError(f"wit count must be nonnegative, got {n}")
+        if wits is None:
+            wits = "0" * n
+        if len(wits) != n or not _is_wit_string(wits):
+            raise DomainError("wits must be a string of n characters 0 or 1")
         self.n = n
-        self.bits = [0] * n if bits is None else list(bits)
-        if len(self.bits) != n or any(b not in (0, 1) for b in self.bits):
-            raise DomainError("bits must be n values of 0 or 1")
+        self.word = int(wits, 2) if n else 0
 
     def program(self, positions: Iterable[int]) -> None:
         """Set the listed wits to 1 (no-op on wits already programmed)."""
@@ -74,7 +90,7 @@ class WitArray:
         if any(not 0 <= p < self.n for p in positions):
             raise DomainError(f"wit index out of range for n={self.n}")
         for p in positions:
-            self.bits[p] = 1
+            self.word |= 1 << (self.n - 1 - p)
 
     def apply_image(self, image: MemoryImage) -> None:
         """Program the array to hold `image`, refusing any 1 -> 0 transition."""
@@ -83,21 +99,27 @@ class WitArray:
             raise DomainError(
                 f"image needs {len(target)} wits, array has {self.n}"
             )
-        cleared = [i for i, (cur, new) in enumerate(zip(self.bits, target)) if cur > new]
-        if cleared:
+        new = int(target, 2) if target else 0
+        if self.word & ~new:
+            cleared = [
+                i for i, (cur, bit) in enumerate(zip(self.serialize(), target))
+                if cur > bit
+            ]
             raise WriteOnceViolation(
                 f"image would clear programmed wits at {cleared}"
             )
-        self.program([i for i, b in enumerate(target) if b and not self.bits[i]])
+        self.word = new
 
     def read_image(self, params: CodeParams) -> MemoryImage:
         """Interpret the wits as a symbol image of `params`."""
         if self.n != params.n:
             raise DomainError(f"array has {self.n} wits, code uses {params.n}")
-        return MemoryImage(params, tuple(bits_to_symbols(self.bits, params.m)))
+        return MemoryImage(params, tuple(bits_to_symbols(self.serialize(), params.m)))
 
     def serialize(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        """The wit string, wit 0 first (``format(0, "00b")`` is "0", so n = 0
+        is its own case)."""
+        return format(self.word, f"0{self.n}b") if self.n else ""
 
 
 def save_state(path: str | os.PathLike, params: CodeParams, array: WitArray) -> None:
@@ -149,7 +171,7 @@ def load_state(path: str | os.PathLike) -> tuple[CodeParams, WitArray]:
         fail(f"malformed field ({exc})")
     if t != len(v) or t != len(h):
         fail(f"t={t} disagrees with {len(v)} cardinalities / {len(h)} windows")
-    if any(c not in "01" for c in wits):
+    if not _is_wit_string(wits):
         fail("wit string must be ASCII 0/1")
     try:
         params = CodeParams(m=m, v=v, h=h)
@@ -162,4 +184,4 @@ def load_state(path: str | os.PathLike) -> tuple[CodeParams, WitArray]:
     problems = validate(params)
     if problems:
         fail("; ".join(f"{p.condition}: {p.detail}" for p in problems))
-    return params, WitArray(params.n, [int(c) for c in wits])
+    return params, WitArray(params.n, wits)

@@ -22,7 +22,9 @@ C(h, kmin) once and then steps
 exactly, since C(h, k+1) = C(h, k) * (h - k) / (k + 1).  The capacity, the
 block a message falls in and the offset of a payload's block all read the
 same walk; only a window that may write all h slots takes its capacity in
-closed form, (1 + q)^h less the blocks below kmin.
+closed form, (1 + q)^h less the blocks below kmin.  :func:`window_covers`
+walks the other way, from kmax down by B(k-1) = B(k) * k // ((h-k+1) * q),
+and stops as soon as the blocks summed reach the number asked for.
 
 The last write of a code bypasses position modulation entirely:
 :func:`last_write_encode` maps a message M to the base-(2^m - 1)
@@ -87,6 +89,27 @@ def window_capacity(window: WriteWindow) -> int:
     if window.kmax == h:
         return (1 + q) ** h - sum(binomial(h, k) * q**k for k in range(window.kmin))
     return sum(block for _, block in _blocks(window))
+
+
+def window_covers(window: WriteWindow, need: int) -> bool:
+    """Whether the window holds at least `need` payloads, i.e.
+    ``window_capacity(window) >= need``, without always summing every block.
+
+    Blocks are added from kmax downward, B(k-1) = B(k) * k // ((h-k+1) * q)
+    (exact, as C(h, k-1) = C(h, k) * k / (h-k+1)), stopping once the sum
+    reaches `need`; the top block alone often does.  A window that may write
+    every slot takes the closed form of :func:`window_capacity`.
+    """
+    h, q, k = window.h, window.q, window.kmax
+    if k == h:
+        return window_capacity(window) >= need
+    block = binomial(h, k) * q**k
+    total = block
+    while total < need and k > window.kmin:
+        block = block * k // ((h - k + 1) * q)
+        k -= 1
+        total += block
+    return total >= need
 
 
 def message_to_payload(message: int, window: WriteWindow) -> WritePayload:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import DomainError
-from .message_codec import WriteWindow, window_capacity
+from .message_codec import WriteWindow, window_capacity, window_covers
 
 # Every cardinality must stay below this.  It bounds the length of each
 # window search and keeps every value printable: 2**8192 has 2467 decimal
@@ -183,9 +183,13 @@ def plan(m: int, v: Sequence[int]) -> CodeParams:
 def validate(params: CodeParams) -> list[ConditionViolation]:
     """Check all feasibility conditions; return violations (empty when valid).
 
-    Capacity conditions are only evaluated for window pairs that are
-    well-ordered; a pair that breaks the strict ordering is reported as a
-    window-order violation instead.
+    Never raises for a constructible `params`.  Write g's capacity is
+    checked only when its window exists, h_g > h_(g+1) >= 0 with h_(t+1)
+    taken as 0; otherwise a window-order violation covers it (below a
+    negative successor the chain reaches a broken pair or a non-positive
+    h_t).  Capacities are compared with v_g by :func:`window_covers`, which
+    stops once v_g is reached; the exact capacity is computed only to report
+    a shortfall.
     """
     m, v, h, t = params.m, params.v, params.h, params.t
     out: list[ConditionViolation] = []
@@ -201,15 +205,16 @@ def validate(params: CodeParams) -> list[ConditionViolation]:
         out.append(ConditionViolation("window-order", f"h_{t}={h[-1]} not positive"))
 
     for g in range(1, t + 1):
-        well_ordered = h[g - 1] > h[g] if g < t else h[-1] >= 1
-        if not well_ordered:
+        successor = h[g] if g < t else 0
+        if not h[g - 1] > successor >= 0:
             continue
-        cap = window_capacity(write_window(m, h, g))
-        if cap < v[g - 1]:
+        window = write_window(m, h, g)
+        if not window_covers(window, v[g - 1]):
             kind = "last" if g == t else "first" if g == 1 else "middle"
             out.append(
                 ConditionViolation(
-                    f"{kind}-write-capacity", f"capacity {cap} below v_{g}={v[g - 1]}"
+                    f"{kind}-write-capacity",
+                    f"capacity {window_capacity(window)} below v_{g}={v[g - 1]}",
                 )
             )
     return out

@@ -183,6 +183,23 @@ class TestSessionCommands:
         assert code == 5
         assert "corrupt" in err
 
+    @pytest.mark.parametrize("wits", ["0b11", "0_11", "+011", "-011"])
+    def test_wit_string_accepted_by_int_is_corrupt(self, session, capsys, wits):
+        with open(session, "w") as fh:
+            fh.write(f"womstate 1\nm 2\nt 2\nv 7,2\nh 2,1\nwits {wits}\n")
+        code, out, err = run(capsys, "read", "--file", session)
+        assert code == 5
+        assert out == ""
+        assert "wit string must be ASCII 0/1" in err
+
+    def test_negative_window_in_file_is_corrupt(self, session, capsys):
+        with open(session, "w") as fh:
+            fh.write("womstate 1\nm 2\nt 2\nv 7,2\nh 2,-1\nwits 0000\n")
+        code, out, err = run(capsys, "read", "--file", session)
+        assert code == 5
+        assert out == ""
+        assert "corrupt" in err and "window-order: h_2=-1 not positive" in err
+
     def test_oversized_cardinality_in_file_is_corrupt(self, session, capsys):
         with open(session, "w") as fh:
             fh.write(f"womstate 1\nm 2\nt 2\nv {2**8192},2\nh 2,1\nwits 0000\n")

@@ -14,17 +14,55 @@ from womcode.device import (
     symbols_to_bits,
 )
 from womcode.errors import CorruptStateError, DomainError, WriteOnceViolation
-from womcode.planner import plan
+from womcode.planner import CodeParams, plan
 from womcode.wom_codec import MemoryImage, encode_write, fresh_image
 
 SMALL = plan(2, [7, 2])
 
 
+# The list-based layout that held one Python int per wit, kept as the
+# reference the string and single-int forms must agree with.
+def oracle_symbols_to_bits(symbols, m):
+    bits = []
+    for s in symbols:
+        if not 0 <= s < 2**m:
+            raise DomainError(f"symbol {s} does not fit in {m} wits")
+        bits.extend((s >> shift) & 1 for shift in range(m - 1, -1, -1))
+    return bits
+
+
+def oracle_bits_to_symbols(bits, m):
+    bits = list(bits)
+    if len(bits) % m:
+        raise DomainError(f"{len(bits)} wits do not form whole {m}-wit symbols")
+    out = []
+    for j in range(0, len(bits), m):
+        value = 0
+        for b in bits[j : j + m]:
+            value = (value << 1) | b
+        out.append(value)
+    return out
+
+
+def oracle_apply_image(bits, image):
+    """The wit list after applying `image` to `bits`, or WriteOnceViolation."""
+    target = oracle_symbols_to_bits(image.symbols, image.params.m)
+    cleared = [i for i, (cur, new) in enumerate(zip(bits, target)) if cur > new]
+    if cleared:
+        raise WriteOnceViolation(f"image would clear programmed wits at {cleared}")
+    return target
+
+
+def wit_string(bits):
+    return "".join(map(str, bits))
+
+
 class TestLayout:
     def test_symbol_groups_msb_first(self):
-        assert symbols_to_bits((0, 3), 2) == [0, 0, 1, 1]
-        assert symbols_to_bits((2, 3), 2) == [1, 0, 1, 1]
-        assert symbols_to_bits((5,), 3) == [1, 0, 1]
+        assert symbols_to_bits((0, 3), 2) == "0011"
+        assert symbols_to_bits((2, 3), 2) == "1011"
+        assert symbols_to_bits((5,), 3) == "101"
+        assert symbols_to_bits((), 4) == ""
 
     def test_roundtrip(self):
         for m in (2, 3, 4):
@@ -32,25 +70,65 @@ class TestLayout:
             assert bits_to_symbols(symbols_to_bits(values, m), m) == values
 
     def test_rejects_oversized_symbol(self):
-        with pytest.raises(DomainError):
-            symbols_to_bits((4,), 2)
+        with pytest.raises(DomainError, match="symbol 4 does not fit in 2 wits"):
+            symbols_to_bits((1, 4, 7), 2)
+        with pytest.raises(DomainError, match="symbol -1 does not fit in 2 wits"):
+            symbols_to_bits((0, -1), 2)
 
     def test_rejects_ragged_bits(self):
         with pytest.raises(DomainError):
-            bits_to_symbols([0, 1, 1], 2)
+            bits_to_symbols("011", 2)
+
+    @pytest.mark.parametrize("wits", ["0b11", "0_11", "+011", "-011", " 011", "0１01"])
+    def test_rejects_non_binary_characters(self, wits):
+        with pytest.raises(DomainError):
+            bits_to_symbols(wits, 2)
+        with pytest.raises(DomainError):
+            WitArray(len(wits), wits)
+
+    def test_matches_list_oracle(self):
+        rng = random.Random(505)
+        for m in (2, 3, 4, 5, 16):
+            for _ in range(40):
+                symbols = [rng.randrange(2**m) for _ in range(rng.randrange(60))]
+                bits = oracle_symbols_to_bits(symbols, m)
+                assert symbols_to_bits(symbols, m) == wit_string(bits)
+                assert bits_to_symbols(wit_string(bits), m) == symbols
+                assert oracle_bits_to_symbols(bits, m) == symbols
 
 
 class TestWitArray:
     def test_program_sets_and_counts(self):
         arr = WitArray(4)
         arr.program({1, 3})
-        assert arr.bits == [0, 1, 0, 1]
+        assert arr.word == 0b0101
+        assert arr.word.bit_count() == 2
         assert arr.serialize() == "0101"
 
     def test_program_is_idempotent(self):
-        arr = WitArray(4, [0, 1, 0, 1])
+        arr = WitArray(4, "0101")
         arr.program({1})
-        assert arr.bits == [0, 1, 0, 1]
+        assert arr.serialize() == "0101"
+
+    def test_word_holds_wit_zero_most_significant(self):
+        arr = WitArray(6, "100110")
+        assert arr.word == 0b100110
+        assert arr.serialize() == "100110"
+        assert WitArray(3, "001").serialize() == "001"
+
+    def test_zero_wits(self):
+        arr = WitArray(0)
+        assert arr.word == 0
+        assert arr.serialize() == ""
+        assert WitArray(0, "").serialize() == ""
+
+    def test_constructor_checks(self):
+        with pytest.raises(DomainError):
+            WitArray(-1)
+        with pytest.raises(DomainError):
+            WitArray(4, "011")
+        with pytest.raises(DomainError):
+            WitArray(4, "0121")
 
     def test_program_range_check(self):
         with pytest.raises(DomainError):
@@ -92,8 +170,8 @@ class TestWitArray:
         rng = random.Random(99)
         params = plan(2, [64, 8])
         for _ in range(200):
-            current = [rng.randrange(2) for _ in range(params.n)]
-            target = [rng.randrange(2) for _ in range(params.n)]
+            current = "".join(rng.choice("01") for _ in range(params.n))
+            target = "".join(rng.choice("01") for _ in range(params.n))
             arr = WitArray(params.n, current)
             image = MemoryImage(
                 params, tuple(bits_to_symbols(target, params.m))
@@ -104,13 +182,45 @@ class TestWitArray:
                     arr.apply_image(image)
             else:
                 arr.apply_image(image)
-                assert arr.bits == target
+                assert arr.serialize() == target
+
+    def test_apply_image_matches_list_oracle(self):
+        rng = random.Random(2026)
+        for m in (2, 3, 4, 5, 16):
+            for case in range(60):
+                h1 = rng.randrange(1, 40)
+                params = CodeParams(m=m, v=(2,), h=(h1,))
+                current = [rng.randrange(2) for _ in range(params.n)]
+                if case % 2:
+                    # Only sets wits: the oracle accepts it.
+                    target = [c | (rng.random() < 0.3) for c in current]
+                else:
+                    # Mostly sets wits, and clears a few now and then.
+                    target = [
+                        c ^ 1 if rng.random() < 0.02 else c | (rng.random() < 0.3)
+                        for c in current
+                    ]
+                image = MemoryImage(params, tuple(oracle_bits_to_symbols(target, m)))
+                arr = WitArray(params.n, wit_string(current))
+                before = arr.word
+                try:
+                    expected = oracle_apply_image(current, image)
+                except WriteOnceViolation as exc:
+                    with pytest.raises(WriteOnceViolation) as got:
+                        arr.apply_image(image)
+                    assert str(got.value) == str(exc)
+                    assert arr.word == before
+                    assert arr.serialize() == wit_string(current)
+                else:
+                    arr.apply_image(image)
+                    assert arr.serialize() == wit_string(expected)
+                    assert arr.read_image(params).symbols == image.symbols
 
 
 class TestStateFile:
     def test_golden_record(self, tmp_path):
         path = tmp_path / "code.wom"
-        arr = WitArray(SMALL.n, [0, 0, 1, 1])
+        arr = WitArray(SMALL.n, "0011")
         save_state(path, SMALL, arr)
         assert path.read_text() == (
             "womstate 1\nm 2\nt 2\nv 7,2\nh 2,1\nwits 0011\n"
@@ -125,13 +235,14 @@ class TestStateFile:
         save_state(path, params, arr)
         loaded_params, loaded_arr = load_state(path)
         assert loaded_params == params
-        assert loaded_arr.bits == arr.bits
+        assert loaded_arr.word == arr.word
+        assert loaded_arr.serialize() == arr.serialize()
 
     def test_save_is_atomic_replacement(self, tmp_path):
         path = tmp_path / "code.wom"
         save_state(path, SMALL, WitArray(SMALL.n))
         before = path.read_text()
-        save_state(path, SMALL, WitArray(SMALL.n, [0, 0, 1, 1]))
+        save_state(path, SMALL, WitArray(SMALL.n, "0011"))
         after = path.read_text()
         assert before != after
         assert not list(tmp_path.glob("*.tmp"))

@@ -19,6 +19,7 @@ from womcode.message_codec import (
     message_to_payload,
     payload_to_message,
     window_capacity,
+    window_covers,
 )
 
 
@@ -79,6 +80,22 @@ class TestWindowCapacity:
                 assert payload.k == k
                 assert combinadic.rank(payload.mask) == (message - offset) // q**k
                 assert payload_to_message(payload, w) == message
+
+    def test_covers_agrees_with_capacity_on_random_windows(self):
+        rng = random.Random(8128)
+        for case in range(500):
+            h = rng.randrange(1, 4001)
+            q = rng.choice((1, 2, 3, 6, 7))
+            # The three window shapes of a code: first, middle and last write.
+            shape = case % 3
+            if shape == 2:
+                w = WriteWindow(h=h, q=q, kmin=1, kmax=h)
+            else:
+                kmax = rng.randrange(1, h + 1) if rng.random() < 0.2 else rng.randrange(1, min(h, 60) + 1)
+                w = WriteWindow(h=h, q=q, kmin=1 - shape, kmax=kmax)
+            cap = window_capacity(w)
+            for need in (1, cap - 1, cap, cap + 1, rng.randrange(1, cap + 2)):
+                assert window_covers(w, need) == (cap >= need), (w, need)
 
     def test_window_validation(self):
         with pytest.raises(DomainError):

@@ -9,7 +9,7 @@ import pytest
 
 from womcode.errors import DomainError
 from womcode.message_codec import WriteWindow, window_capacity
-from womcode.planner import CodeParams, plan, validate, write_window
+from womcode.planner import CodeParams, ConditionViolation, plan, validate, write_window
 
 V56 = 2**56
 
@@ -170,6 +170,65 @@ class TestValidate:
         kinds = {v.condition for v in validate(params)}
         assert "middle-write-capacity" in kinds
         assert "last-write-capacity" in kinds
+
+    @pytest.mark.parametrize("h", [(2, -1), (2, 0), (3, 0, -1)])
+    def test_non_positive_windows_are_violations_not_errors(self, h):
+        params = CodeParams(m=2, v=(5,) * len(h), h=h)
+        viols = validate(params)
+        assert viols[0] == ConditionViolation(
+            "window-order", f"h_{len(h)}={h[-1]} not positive"
+        )
+        assert {v.condition for v in viols} == {"window-order"}
+
+    def test_windows_above_a_negative_successor_skip_the_capacity_check(self):
+        # Write 1 sits above 0, a full window, so its capacity is checked;
+        # write 3 sits above -2 and has no window, so it is not.
+        params = CodeParams(m=2, v=(10**6, 7, 7, 7), h=(4, 0, 1, -2))
+        assert [(v.condition, v.detail) for v in validate(params)] == [
+            ("window-order", "h_2=0 not greater than h_3=1"),
+            ("window-order", "h_4=-2 not positive"),
+            ("first-write-capacity", "capacity 256 below v_1=1000000"),
+        ]
+
+    def test_matches_exact_capacity_oracle(self):
+        # validate stops summing once v_g is covered; its result must be the
+        # one found from each window's exact capacity, texts included.
+        def oracle(params):
+            m, v, h, t = params.m, params.v, params.h, params.t
+            out = [
+                ConditionViolation(
+                    "window-order", f"h_{i + 1}={h[i]} not greater than h_{i + 2}={h[i + 1]}"
+                )
+                for i in range(t - 1)
+                if h[i] <= h[i + 1]
+            ]
+            if h[-1] < 1:
+                out.append(ConditionViolation("window-order", f"h_{t}={h[-1]} not positive"))
+            for g in range(1, t + 1):
+                if not h[g - 1] > (h[g] if g < t else 0) >= 0:
+                    continue
+                cap = capacity(m, h, g)
+                if cap < v[g - 1]:
+                    kind = "last" if g == t else "first" if g == 1 else "middle"
+                    out.append(
+                        ConditionViolation(
+                            f"{kind}-write-capacity", f"capacity {cap} below v_{g}={v[g - 1]}"
+                        )
+                    )
+            return out
+
+        rng = random.Random(4711)
+        for case in range(400):
+            m = rng.choice([2, 3])
+            t = rng.randrange(1, 7)
+            v = [rng.randrange(2, 2 ** rng.randrange(2, 200)) for _ in range(t)]
+            h = list(plan(m, v).h)
+            if case % 2:
+                # Nudge windows so some capacities fall short, some barely
+                # cover, and some pairs break the order.
+                h = [x + rng.choice((-2, -1, -1, 0, 0, 0, 1)) for x in h]
+            params = CodeParams(m=m, v=tuple(v), h=tuple(h))
+            assert validate(params) == oracle(params)
 
 
 def test_params_properties():
