@@ -33,6 +33,7 @@ from .wom_codec import (
     encode_write,
     erase_to,
     fresh_image,
+    next_generation,
 )
 
 __version__ = "0.1.0"
@@ -59,6 +60,7 @@ __all__ = [
     "erase_to",
     "fresh_image",
     "load_state",
+    "next_generation",
     "plan",
     "rank",
     "rate",

@@ -14,29 +14,24 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError
-from .planner import CodeParams, plan
+from .planner import CodeParams, least_growth, plan
 
 
 def delta(v: int, m: int) -> int:
     """Least d with S(d) = sum_{i=0}^{d} C(m + d, i) >= v.
 
     This is the minimum number of wits that must be adjoined to m wits so
-    that one extra write can select any of v messages.  Pascal's rule gives
-    S(d+1) = 2 * S(d) + C(m + d, d + 1), and the binomial steps as
-    C(m+d+1, d+2) = C(m+d, d+1) * (m+d+1) / (d+2), so each growth costs a
-    few exact small-by-big operations.  At m = 0 the binomial term vanishes
-    and S(d) = 2**d, so delta(v, 0) equals ceil(log2(v)).
+    that one extra write can select any of v messages.  S(d) is the
+    planner's window sum W(m + d, d) at alphabet size q = 1, so delta(v, m)
+    is ``least_growth(m, 1, v)``, the planner's Pascal walk, here
+    S(d+1) = 2 * S(d) + C(m + d, d + 1).  At m = 0 the binomial term
+    vanishes and S(d) = 2**d, so delta(v, 0) equals ceil(log2(v)).
     """
     if v < 1:
         raise DomainError(f"message count must be >= 1, got {v}")
     if m < 0:
         raise DomainError(f"wit count must be >= 0, got {m}")
-    d, total, c = 0, 1, m  # total = S(d), c = C(m + d, d + 1)
-    while total < v:
-        total = 2 * total + c
-        c = c * (m + d + 1) // (d + 2)
-        d += 1
-    return d
+    return least_growth(m, 1, v)
 
 
 def z_bound(v_list: Sequence[int]) -> int:

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .message_codec import window_capacity
 from .planner import CodeParams, check_cardinality_bits, plan, write_window
-from .wom_codec import decode, detect_generation, encode_write, fresh_image
+from .wom_codec import decode, detect_generation, encode_write, next_generation
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -191,8 +191,7 @@ def cmd_erase_status(args) -> int:
     params, arr = _load_session(args.file)
     image = arr.read_image(params)
     generation = detect_generation(image)
-    fresh = all(s == 0 for s in image.symbols)
-    remaining = params.t if fresh else params.t - generation
+    remaining = params.t + 1 - next_generation(image)
     programmed = arr.word.bit_count()
     lines = [
         f"generation: {generation}",

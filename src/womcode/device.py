@@ -84,14 +84,6 @@ class WitArray:
         self.n = n
         self.word = int(wits, 2) if n else 0
 
-    def program(self, positions: Iterable[int]) -> None:
-        """Set the listed wits to 1 (no-op on wits already programmed)."""
-        positions = list(positions)
-        if any(not 0 <= p < self.n for p in positions):
-            raise DomainError(f"wit index out of range for n={self.n}")
-        for p in positions:
-            self.word |= 1 << (self.n - 1 - p)
-
     def apply_image(self, image: MemoryImage) -> None:
         """Program the array to hold `image`, refusing any 1 -> 0 transition."""
         target = symbols_to_bits(image.symbols, image.params.m)

@@ -1,18 +1,19 @@
 """Bijection between message integers and write payloads.
 
-A write is described by how many window slots it touches (k), which slots
-(a weight-k mask over the h-slot window) and what value each touched slot
-receives (from {1, ..., q}).  The number of payloads with kmin <= k <= kmax
-is sum_k C(h, k) * q^k, and this module fixes one canonical enumeration of
+A write's payload is the tuple of its h window slot values: 0 for a slot
+the write leaves at zero, 1..q for a written one.  The payload writes k
+slots, k = h - count(0), with kmin <= k <= kmax.  The number of payloads is
+sum_k C(h, k) * q^k, and this module fixes one canonical enumeration of
 them so that encoder and decoder agree:
 
   * payloads are blocked by k, ascending from kmin (so message 0 is the
     cheapest write);
-  * inside a block the slot mask is the major coordinate, ordered by its
-    lexical rank, and the value assignment is the minor coordinate;
-  * the value assignment is read as a base-q number whose most significant
-    digit belongs to the leftmost written slot, with stored digit d
-    standing for symbol value d + 1 (value 0 means "slot not written").
+  * inside a block the slot mask (which slots are nonzero) is the major
+    coordinate, ordered by its lexical rank, and the written values are the
+    minor coordinate;
+  * the written values are read as a base-q number whose most significant
+    digit belongs to the leftmost written slot, with digit d standing for
+    slot value d + 1.
 
 The block sizes B(k) = C(h, k) * q^k come from one walk over k that takes
 C(h, kmin) once and then steps
@@ -29,13 +30,15 @@ and stops as soon as the blocks summed reach the number asked for.
 The last write of a code bypasses position modulation entirely:
 :func:`last_write_encode` maps a message M to the base-(2^m - 1)
 representation of M + 1 over the remaining window, which never produces
-the all-zero word and never uses the erased symbol value 2^m - 1.
+the all-zero word and never uses the erased symbol value 2^m - 1.  Both
+bijections split and join their digits with one private pair,
+:func:`_digits` and :func:`_number`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .combinadic import binomial, rank, unrank
 from .errors import CorruptStateError, DomainError
@@ -60,13 +63,20 @@ class WriteWindow:
             raise DomainError(f"alphabet size must be positive, got {self.q}")
 
 
-@dataclass(frozen=True)
-class WritePayload:
-    """k written slots: where (mask over the window) and with which values."""
+def _digits(x: int, base: int, length: int) -> list[int]:
+    """The `length` base-`base` digits of x, most significant first."""
+    digits = [0] * length
+    for pos in range(length - 1, -1, -1):
+        x, digits[pos] = divmod(x, base)
+    return digits
 
-    k: int
-    mask: tuple[int, ...]  # length h, weight k, leftmost slot first
-    digits: tuple[int, ...]  # k values in [1, q], leftmost written slot first
+
+def _number(digits: Iterable[int], base: int) -> int:
+    """Inverse of :func:`_digits`: the base-`base` number with these digits."""
+    x = 0
+    for d in digits:
+        x = x * base + d
+    return x
 
 
 def _blocks(window: WriteWindow) -> Iterator[tuple[int, int]]:
@@ -112,48 +122,43 @@ def window_covers(window: WriteWindow, need: int) -> bool:
     return total >= need
 
 
-def message_to_payload(message: int, window: WriteWindow) -> WritePayload:
-    """Map a message in [0, window_capacity) to its canonical payload."""
+def message_to_payload(message: int, window: WriteWindow) -> tuple[int, ...]:
+    """Map a message in [0, window_capacity) to its canonical slot values."""
     if message < 0:
         raise DomainError(f"message must be nonnegative, got {message}")
     h, q = window.h, window.q
     rem = message
     for k, block in _blocks(window):
         if rem < block:
-            qk = q**k
-            mask = unrank(rem // qk, h, k)
-            value_index = rem % qk
-            digits = [0] * k
-            for pos in range(k - 1, -1, -1):
-                digits[pos] = value_index % q + 1
-                value_index //= q
-            return WritePayload(k=k, mask=tuple(mask), digits=tuple(digits))
+            mask_index, value_index = divmod(rem, q**k)
+            digits = iter(_digits(value_index, q, k))
+            mask = unrank(mask_index, h, k)
+            return tuple([next(digits) + 1 if bit else 0 for bit in mask])
         rem -= block
     raise DomainError(
         f"message {message} exceeds window capacity {window_capacity(window)}"
     )
 
 
-def payload_to_message(payload: WritePayload, window: WriteWindow) -> int:
+def payload_to_message(values: Sequence[int], window: WriteWindow) -> int:
     """Exact inverse of :func:`message_to_payload`."""
     h, q = window.h, window.q
-    k = payload.k
+    if len(values) != h:
+        raise DomainError(f"payload has {len(values)} slot values, window has {h} slots")
+    # Only the k written slots are range-checked: the zeros are in range.
+    digits = [d - 1 for d in values if d]
+    if digits and not 0 <= min(digits) <= max(digits) < q:
+        raise DomainError(f"slot values must lie in [0, {q}]")
+    k = len(digits)
     if not window.kmin <= k <= window.kmax:
         raise DomainError(f"payload writes {k} slots, window allows "
                           f"[{window.kmin}, {window.kmax}]")
-    if len(payload.mask) != h or sum(payload.mask) != k or len(payload.digits) != k:
-        raise DomainError("payload mask/digits inconsistent with its window")
-    if any(not 1 <= d <= q for d in payload.digits):
-        raise DomainError(f"payload digits must lie in [1, {q}]")
     base = 0
     for j, block in _blocks(window):
         if j == k:
             break
         base += block
-    value_index = 0
-    for d in payload.digits:
-        value_index = value_index * q + (d - 1)
-    return base + rank(payload.mask) * q**k + value_index
+    return base + rank(map(bool, values)) * q**k + _number(digits, q)
 
 
 def last_write_encode(message: int, ht: int, m: int) -> list[int]:
@@ -170,24 +175,17 @@ def last_write_encode(message: int, ht: int, m: int) -> list[int]:
         raise DomainError(
             f"message {message} out of range for last write over {ht} symbols"
         )
-    x = message + 1
-    digits = [0] * ht
-    for pos in range(ht - 1, -1, -1):
-        digits[pos] = x % base
-        x //= base
-    return digits
+    return _digits(message + 1, base, ht)
 
 
-def last_write_decode(digits, m: int) -> int:
+def last_write_decode(digits: Sequence[int], m: int) -> int:
     """Inverse of :func:`last_write_encode` for a stored digit sequence."""
     base = 2**m - 1
-    if any(not 0 <= d <= base - 1 for d in digits):
+    if digits and not 0 <= min(digits) <= max(digits) <= base - 1:
         raise CorruptStateError(
             f"last-write symbol outside [0, {base - 1}]: {list(digits)}"
         )
-    x = 0
-    for d in digits:
-        x = x * base + d
+    x = _number(digits, base)
     if x == 0:
         raise CorruptStateError("all-zero word is not a legal last write")
     return x - 1

@@ -26,17 +26,18 @@ C(N+1, k) = C(N, k) + C(N, k-1) gives
 
   W(N+1, d+1) = (1 + q) * W(N, d) + C(N, d+1) * q^(d+1)
 
-so one walk from (h_next, 0) yields the capacity of every growth in turn at
-a few small-by-big multiplications per step.  Each step multiplies W by at
-least 1 + q >= 3, so the walk that finds the least covering growth ends
-within log3(v) + 1 steps.  The last window is found the same way, with a
-running power of 2^m - 1.
+so one walk from (h_next, 0), :func:`least_growth`, yields the capacity of
+every growth in turn at a few small-by-big multiplications per step.  Each
+step multiplies W by at least 1 + q >= 2, so the walk that finds the least
+covering growth ends within log2(v) + 1 steps.  The last window is found
+with a running power of 2^m - 1.  At q = 1 the same walk is the wit bound's
+step, :func:`womcode.bounds.delta`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import DomainError
 from .message_codec import WriteWindow, window_capacity, window_covers
@@ -45,6 +46,18 @@ from .message_codec import WriteWindow, window_capacity, window_covers
 # window search and keeps every value printable: 2**8192 has 2467 decimal
 # digits, under Python's default 4300-digit int/str conversion limit.
 CARDINALITY_LIMIT = 2**8192
+# The most wits per symbol.  A printed capacity stays below about
+# v * 2**m * (h_1 + 2), so with v below CARDINALITY_LIMIT every capacity
+# printed up to m = 4096 has fewer than 4300 digits.
+M_LIMIT = 4096
+
+
+def _check_m(m: int) -> None:
+    """Reject symbols of fewer than 2 or more than M_LIMIT wits."""
+    if m < 2:
+        raise DomainError(f"m must be at least 2, got {m}")
+    if m > M_LIMIT:
+        raise DomainError(f"m must be at most {M_LIMIT}, got {m}")
 
 
 def _check_cardinalities(v: Sequence[int]) -> None:
@@ -75,8 +88,7 @@ class CodeParams:
     h: tuple[int, ...]
 
     def __post_init__(self):
-        if self.m < 2:
-            raise DomainError(f"m must be at least 2, got {self.m}")
+        _check_m(self.m)
         object.__setattr__(self, "v", tuple(self.v))
         object.__setattr__(self, "h", tuple(self.h))
         _check_cardinalities(self.v)
@@ -109,31 +121,26 @@ class ConditionViolation:
     detail: str
 
 
-def _window_sums(hnext: int, q: int) -> Iterator[int]:
-    """Yield W(hnext + d, d) = sum_{k=0}^{d} C(hnext + d, k) * q^k for d = 0, 1, ...
+def least_growth(hnext: int, q: int, need: int) -> int:
+    """Least growth d >= 0 with W(hnext + d, d) >= need, where
+    W(N, d) = sum_{k=0}^{d} C(N, k) * q^k.
 
     `term` holds C(N, d+1) * q^(d+1) for the current N = hnext + d; the next
     one, C(N+1, d+2) * q^(d+2), is term * q * (N+1) / (d+2), exact in integers.
     """
     w, term, d = 1, hnext * q, 0
-    while True:
-        yield w
+    while w < need:
         w = (1 + q) * w + term
         d += 1
         term = term * (q * (hnext + d)) // (d + 1)
-
-
-def _least_growth(hnext: int, q: int, need: int) -> int:
-    """Least growth d >= 0 with W(hnext + d, d) >= need."""
-    return next(d for d, w in enumerate(_window_sums(hnext, q)) if w >= need)
+    return d
 
 
 def write_window(m: int, h: Sequence[int], g: int) -> WriteWindow:
     """The window of write g (1-based) of a code with symbols of m wits and
     window sizes h: the first, a middle or the last write's window."""
     t = len(h)
-    if m < 2:
-        raise DomainError(f"m must be at least 2, got {m}")
+    _check_m(m)
     if not 1 <= g <= t:
         raise DomainError(f"write {g} is not one of the {t} writes")
     hg = h[g - 1]
@@ -158,8 +165,7 @@ def plan(m: int, v: Sequence[int]) -> CodeParams:
     """
     v = tuple(v)
     _check_cardinalities(v)
-    if m < 2:
-        raise DomainError(f"m must be at least 2, got {m}")
+    _check_m(m)
 
     q = 2**m - 1
     ht, power = 1, q
@@ -173,9 +179,9 @@ def plan(m: int, v: Sequence[int]) -> CodeParams:
     # at least 1 and the ordering h_i > h_(i+1) holds by construction.  A
     # middle write needs W >= v_i + 1 because its sum lacks the k = 0 term.
     for vi in reversed(v[1:-1]):  # middle writes, bottom-up
-        hs.insert(0, hs[0] + _least_growth(hs[0], 2**m - 2, vi + 1))
+        hs.insert(0, hs[0] + least_growth(hs[0], 2**m - 2, vi + 1))
     if len(v) >= 2:
-        hs.insert(0, hs[0] + _least_growth(hs[0], q, v[0]))
+        hs.insert(0, hs[0] + least_growth(hs[0], q, v[0]))
 
     return CodeParams(m=m, v=v, h=tuple(hs))
 

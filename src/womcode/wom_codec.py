@@ -4,13 +4,17 @@ The state of the n = m * h_1 wits is viewed as h_1 symbols of m wits each.
 Symbol value 0 is the zero state and 2^m - 1 the erased state.  Writes work
 on the window of zero symbols: each write first soft-erases every nonzero
 symbol (and, except for the first write, surplus zeros) so that exactly h_g
-zeros remain, then stores its payload into those slots.  The reader recovers
-the generation g from the count of zero symbols k0 alone:
+zeros remain, then stores its payload, one value per window slot, into
+those zeros in order.  The reader recovers the generation g from the count
+of zero symbols k0 alone:
 
     g = 1  when k0 >= h_2,   g = i  when h_i > k0 >= h_{i+1},
     g = t  when k0 < h_t,
 
-and the message from the zero positions plus the nonzero, non-erased values.
+and the message from the live symbols, which are the payload: every symbol
+for the first write of a t > 1 code, the non-erased ones otherwise.
+:func:`next_generation` holds the one rule for which write an image takes
+next: the all-zero image takes write 1.
 
 Everything here is pure: images go in, new images come out.  Wit-level
 monotonicity is a consequence of the construction (symbols only move
@@ -25,7 +29,6 @@ from typing import NamedTuple
 
 from .errors import CapacityError, CorruptStateError, DomainError
 from .message_codec import (
-    WritePayload,
     last_write_decode,
     last_write_encode,
     message_to_payload,
@@ -103,20 +106,24 @@ def erase_to(image: MemoryImage, target_zeros: int) -> MemoryImage:
     return MemoryImage(image.params, tuple(symbols))
 
 
-def encode_write(image: MemoryImage, message: int) -> MemoryImage:
-    """Encode the next write onto `image` and return the new image.
+def next_generation(image: MemoryImage) -> int:
+    """The write `image` takes next, t + 1 once every write is used.
 
-    The target generation is inferred from the image: the all-zero image is
-    written as generation 1 (so a first write of message 0, which leaves the
-    memory untouched, hands the device a free extra write), any other image
-    as the generation after the one it currently holds.
+    The all-zero image takes write 1 (so a first write of message 0, which
+    leaves the memory untouched, hands the device a free extra write); any
+    other image takes the write after the one it holds.
     """
+    if image.zero_count == len(image.symbols):
+        return 1
+    return detect_generation(image) + 1
+
+
+def encode_write(image: MemoryImage, message: int) -> MemoryImage:
+    """Encode the next write (:func:`next_generation`) onto `image` and
+    return the new image."""
     params = image.params
     t = params.t
-    if all(s == 0 for s in image.symbols):
-        generation = 1
-    else:
-        generation = detect_generation(image) + 1
+    generation = next_generation(image)
     if generation > t:
         raise CapacityError(f"all {t} writes used")
     if not 0 <= message < params.v[generation - 1]:
@@ -130,10 +137,7 @@ def encode_write(image: MemoryImage, message: int) -> MemoryImage:
     if generation == t:
         values = last_write_encode(message, params.h[t - 1], params.m)
     else:
-        window = write_window(params.m, params.h, generation)
-        payload = message_to_payload(message, window)
-        digit = iter(payload.digits)
-        values = [next(digit) if marked else 0 for marked in payload.mask]
+        values = message_to_payload(message, write_window(params.m, params.h, generation))
     # The zero symbols of the staged image are the window's slots, in order.
     fill = iter(values)
     return MemoryImage(params, [next(fill) if s == 0 else s for s in staged.symbols])
@@ -150,31 +154,24 @@ def decode(image: MemoryImage) -> GenerationReading:
     params = image.params
     t, erased = params.t, params.erased
     generation = detect_generation(image)
-
-    if generation == t:
-        digits = [s for s in image.symbols if s != erased]
-        if len(digits) != params.h[t - 1]:
-            raise CorruptStateError(
-                f"last write should leave {params.h[t - 1]} live symbols, "
-                f"found {len(digits)}"
-            )
-        message = last_write_decode(digits, params.m)
+    # The first write's alphabet includes the erased value, so while more
+    # writes follow, every symbol is live.
+    if generation == 1 and t > 1:
+        live = image.symbols
     else:
-        if generation == 1:
-            slots = list(range(params.h[0]))
-        else:
-            slots = [i for i, s in enumerate(image.symbols) if s != erased]
-            if len(slots) != params.h[generation - 1]:
-                raise CorruptStateError(
-                    f"write {generation} should leave {params.h[generation - 1]} "
-                    f"live symbols, found {len(slots)}"
-                )
-        mask = tuple(1 if image.symbols[i] != 0 else 0 for i in slots)
-        digits = tuple(image.symbols[i] for i in slots if image.symbols[i] != 0)
-        payload = WritePayload(k=sum(mask), mask=mask, digits=digits)
+        live = list(filter(erased.__ne__, image.symbols))
+    if len(live) != params.h[generation - 1]:
+        write = "last write" if generation == t else f"write {generation}"
+        raise CorruptStateError(
+            f"{write} should leave {params.h[generation - 1]} live symbols, "
+            f"found {len(live)}"
+        )
+    if generation == t:
+        message = last_write_decode(live, params.m)
+    else:
         try:
             window = write_window(params.m, params.h, generation)
-            message = payload_to_message(payload, window)
+            message = payload_to_message(live, window)
         except DomainError as exc:
             raise CorruptStateError(f"undecodable write {generation}: {exc}") from exc
 

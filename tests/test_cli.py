@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -100,6 +103,14 @@ class TestPlanCommand:
         by_v = run(capsys, "plan", "--v", f"{2**8192},{2**8192}")
         assert by_bits == by_v
         assert by_bits[0] == 3 and "got one of 8193 bits" in by_bits[2]
+
+    def test_m_limit(self, capsys):
+        code, out, _ = run(capsys, "plan", "--m", "4096", "--bits", "8191", "--writes", "3")
+        assert code == 0 and "n: 24576" in out
+        for m in ("4097", "30000"):
+            code, out, err = run(capsys, "plan", "--m", m, "--bits", "56", "--writes", "3")
+            assert (code, out) == (3, "")
+            assert err == f"error: m must be at most 4096, got {m}\n"
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as info:
@@ -207,6 +218,13 @@ class TestSessionCommands:
         assert code == 5
         assert "corrupt" in err and "2**8192" in err
 
+    def test_m_above_limit_in_file_is_corrupt(self, session, capsys):
+        with open(session, "w") as fh:
+            fh.write(f"womstate 1\nm 4097\nt 2\nv 7,2\nh 2,1\nwits {'0' * 8194}\n")
+        code, out, err = run(capsys, "read", "--file", session)
+        assert (code, out) == (5, "")
+        assert "corrupt" in err and "m must be at most 4096, got 4097" in err
+
     def test_huge_window_with_short_wit_string_fails_fast(self, session, capsys):
         with open(session, "w") as fh:
             fh.write("womstate 1\nm 2\nt 2\nv 7,2\nh 100000000,1\nwits 0011\n")
@@ -291,3 +309,23 @@ class TestRatesCommand:
     def test_bad_tmax(self, capsys):
         code, _, _ = run(capsys, "rates", "--tmax", "1")
         assert code == 3
+
+
+def test_module_entry_point_propagates_exit_codes(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (src, env.get("PYTHONPATH")) if part
+    )
+
+    def womcode(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "womcode", *argv], env=env, capture_output=True
+        ).returncode
+
+    session = str(tmp_path / "demo.wom")
+    assert womcode("plan", "--v", "7,2", "--file", session) == 0
+    assert womcode("plan", "--no-such-flag") == 2
+    assert womcode("write", "--file", session, "3") == 0
+    assert womcode("write", "--file", session, "1") == 0
+    assert womcode("write", "--file", session, "1") == 4  # write t + 1

@@ -99,16 +99,17 @@ class TestLayout:
 
 class TestWitArray:
     def test_program_sets_and_counts(self):
-        arr = WitArray(4)
-        arr.program({1, 3})
+        arr = WitArray(4, "0101")
         assert arr.word == 0b0101
         assert arr.word.bit_count() == 2
         assert arr.serialize() == "0101"
 
     def test_program_is_idempotent(self):
-        arr = WitArray(4, "0101")
-        arr.program({1})
-        assert arr.serialize() == "0101"
+        arr = WitArray(SMALL.n)
+        image = MemoryImage(SMALL, (1, 2))
+        arr.apply_image(image)
+        arr.apply_image(image)
+        assert arr.serialize() == "0110"
 
     def test_word_holds_wit_zero_most_significant(self):
         arr = WitArray(6, "100110")
@@ -129,10 +130,6 @@ class TestWitArray:
             WitArray(4, "011")
         with pytest.raises(DomainError):
             WitArray(4, "0121")
-
-    def test_program_range_check(self):
-        with pytest.raises(DomainError):
-            WitArray(4).program({4})
 
     def test_apply_image_programs_deltas(self):
         arr = WitArray(SMALL.n)

@@ -1,4 +1,4 @@
-"""Message <-> payload bijection and the final-write value map."""
+"""Message <-> slot-value bijection and the final-write value map."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from womcode import combinadic
 from womcode.errors import CorruptStateError, DomainError
 from womcode.message_codec import (
     _blocks,
-    WritePayload,
     WriteWindow,
     last_write_decode,
     last_write_encode,
@@ -24,7 +23,8 @@ from womcode.message_codec import (
 
 
 def enumerate_payloads(window: WriteWindow):
-    """Independent oracle: list every payload in the documented order.
+    """Independent oracle: list every payload, as its h slot values, in the
+    documented order.
 
     Blocks by written-symbol count k ascending; within a block, masks in
     rank order; within a mask, digit strings counted base-q with the
@@ -35,9 +35,11 @@ def enumerate_payloads(window: WriteWindow):
             itertools.combinations(range(window.h), k),
             key=lambda pos: sum(2 ** (window.h - 1 - p) for p in pos),
         ):
-            mask = tuple(1 if i in ones else 0 for i in range(window.h))
             for digits in itertools.product(range(1, window.q + 1), repeat=k):
-                yield WritePayload(k=k, mask=mask, digits=digits)
+                values = [0] * window.h
+                for pos, d in zip(ones, digits):
+                    values[pos] = d
+                yield tuple(values)
 
 
 class TestWindowCapacity:
@@ -77,8 +79,9 @@ class TestWindowCapacity:
                     if message < offset + block:
                         break
                     offset += block
-                assert payload.k == k
-                assert combinadic.rank(payload.mask) == (message - offset) // q**k
+                assert len(payload) == h and h - payload.count(0) == k
+                mask = [1 if value else 0 for value in payload]
+                assert combinadic.rank(mask) == (message - offset) // q**k
                 assert payload_to_message(payload, w) == message
 
     def test_covers_agrees_with_capacity_on_random_windows(self):
@@ -109,17 +112,13 @@ class TestWindowCapacity:
 class TestCanonicalEnumeration:
     def test_first_block_is_empty_write(self):
         w = WriteWindow(h=2, q=3, kmin=0, kmax=1)
-        payload = message_to_payload(0, w)
-        assert payload.k == 0
-        assert payload.mask == (0, 0)
-        assert payload.digits == ()
+        assert message_to_payload(0, w) == (0, 0)
 
     def test_worked_example(self):
         w = WriteWindow(h=2, q=3, kmin=0, kmax=1)
-        payload = message_to_payload(3, w)
-        assert payload.k == 1
-        assert payload.mask == (0, 1)
-        assert payload.digits == (3,)
+        # Block k = 0 holds message 0; in block k = 1, mask (1, 0) has rank 1
+        # and takes messages 4..6, so message 3 is mask (0, 1) with value 3.
+        assert message_to_payload(3, w) == (0, 3)
 
     def test_agrees_with_bruteforce_order(self):
         for h, q, kmin, kmax in [
@@ -146,7 +145,7 @@ class TestCanonicalEnumeration:
                         for message in range(window_capacity(w)):
                             payload = message_to_payload(message, w)
                             assert payload_to_message(payload, w) == message
-                            seen.add((payload.k, payload.mask, payload.digits))
+                            seen.add(payload)
                         assert len(seen) == window_capacity(w)
 
     def test_message_out_of_range(self):
@@ -159,14 +158,18 @@ class TestCanonicalEnumeration:
     def test_invalid_payload_rejected(self):
         w = WriteWindow(h=2, q=3, kmin=0, kmax=1)
         bad = [
-            WritePayload(k=2, mask=(1, 1), digits=(1, 1)),  # k above kmax
-            WritePayload(k=1, mask=(1, 1), digits=(1,)),  # weight mismatch
-            WritePayload(k=1, mask=(0, 1), digits=(4,)),  # digit above q
-            WritePayload(k=1, mask=(0, 1), digits=(0,)),  # digit below 1
+            ((1, 1), "writes 2 slots"),  # k above kmax
+            ((0, 4), r"lie in \[0, 3\]"),  # value above q
+            ((0, -1), r"lie in \[0, 3\]"),  # value below 0
+            ((1,), "has 1 slot values"),  # shorter than the window
+            ((0, 0, 1), "has 3 slot values"),  # longer than the window
         ]
-        for payload in bad:
-            with pytest.raises(DomainError):
+        for payload, text in bad:
+            with pytest.raises(DomainError, match=text):
                 payload_to_message(payload, w)
+        # k below kmin: a middle write must write at least one slot.
+        with pytest.raises(DomainError, match="writes 0 slots"):
+            payload_to_message((0, 0), WriteWindow(h=2, q=2, kmin=1, kmax=1))
 
 
 class TestLastWrite:

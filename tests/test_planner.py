@@ -9,7 +9,14 @@ import pytest
 
 from womcode.errors import DomainError
 from womcode.message_codec import WriteWindow, window_capacity
-from womcode.planner import CodeParams, ConditionViolation, plan, validate, write_window
+from womcode.planner import (
+    M_LIMIT,
+    CodeParams,
+    ConditionViolation,
+    plan,
+    validate,
+    write_window,
+)
 
 V56 = 2**56
 
@@ -64,9 +71,11 @@ class TestCapacities:
             write_window(2, (0,), 1)
 
     def test_write_index_and_m_checked(self):
-        for m, h, g in [(2, (2, 1), 0), (2, (2, 1), 3), (1, (2, 1), 1)]:
+        cases = [(2, (2, 1), 0), (2, (2, 1), 3), (1, (2, 1), 1), (M_LIMIT + 1, (2, 1), 1)]
+        for m, h, g in cases:
             with pytest.raises(DomainError):
                 write_window(m, h, g)
+        assert write_window(M_LIMIT, (2, 1), 2).q == 2**M_LIMIT - 2
 
 
 class TestPlan:
@@ -137,8 +146,13 @@ class TestPlan:
         assert plan(3, [V56] * 2).h == (31, 20)
 
     def test_input_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="m must be at least 2, got 1"):
             plan(1, [4, 4])
+        with pytest.raises(DomainError, match=f"m must be at most {M_LIMIT}, got {M_LIMIT + 1}"):
+            plan(M_LIMIT + 1, [4, 4])
+        with pytest.raises(DomainError, match=f"at most {M_LIMIT}"):
+            CodeParams(m=M_LIMIT + 1, v=(4,), h=(1,))
+        assert plan(M_LIMIT, [4, 4]).h == (2, 1)
         with pytest.raises(DomainError):
             plan(2, [])
         with pytest.raises(DomainError):

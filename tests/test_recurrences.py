@@ -11,7 +11,7 @@ import pytest
 from womcode.bounds import delta, z_bound
 from womcode.errors import DomainError
 from womcode.message_codec import WriteWindow, window_capacity
-from womcode.planner import CodeParams, plan, write_window
+from womcode.planner import CodeParams, least_growth, plan, write_window
 
 
 # --- Oracles: every sum rebuilt from binomials for each candidate growth. ---
@@ -26,6 +26,24 @@ def oracle_delta(v: int, m: int) -> int:
             if total >= v:
                 return d
         d += 1
+
+
+def recurrence_delta(v: int, m: int) -> int:
+    """S(d+1) = 2 * S(d) + C(m + d, d + 1) walked on its own: the wit bound's
+    Pascal step written without least_growth."""
+    d, total, c = 0, 1, m  # total = S(d), c = C(m + d, d + 1)
+    while total < v:
+        total = 2 * total + c
+        c = c * (m + d + 1) // (d + 2)
+        d += 1
+    return d
+
+
+def oracle_least_growth(hnext: int, q: int, need: int) -> int:
+    d = 0
+    while sum(math.comb(hnext + d, k) * q**k for k in range(d + 1)) < need:
+        d += 1
+    return d
 
 
 def oracle_z_bound(v_list) -> int:
@@ -76,6 +94,28 @@ def test_delta_matches_quadratic_scan():
         v = random_cardinality(rng, 256)
         m = rng.randrange(0, 401)
         assert delta(v, m) == oracle_delta(v, m), (v, m)
+
+
+def test_least_growth_matches_comb_sum():
+    rng = random.Random(11)
+    for case in range(300):
+        q = (1, 2, 3, 6, 7)[case % 5]
+        hnext = rng.randrange(0, 2001) if case % 3 else rng.randrange(0, 20)
+        need = random_cardinality(rng, 256) if case % 7 else 1
+        assert least_growth(hnext, q, need) == oracle_least_growth(hnext, q, need), (
+            hnext, q, need,
+        )
+
+
+def test_delta_is_least_growth_at_q1():
+    rng = random.Random(12)
+    for case in range(3000):
+        v = max(1, rng.getrandbits(rng.randint(1, 1024)))
+        m = rng.randrange(0, 5001)
+        d = delta(v, m)
+        assert d == least_growth(m, 1, v) == recurrence_delta(v, m), (v, m)
+        if case % 100 == 0 and m > 400:  # test_delta_matches_quadratic_scan covers m <= 400
+            assert d == oracle_delta(v, m), (v, m)
 
 
 def test_capacities_match_binomial_sums():

@@ -16,6 +16,7 @@ from womcode.wom_codec import (
     encode_write,
     erase_to,
     fresh_image,
+    next_generation,
 )
 
 SMALL = plan(2, [7, 2])  # h = (2, 1), four wits
@@ -99,6 +100,14 @@ class TestSmallCodeChain:
         with pytest.raises(CapacityError):
             encode_write(state, 0)
 
+    def test_next_generation(self):
+        # Only the all-zero image takes write 1; after the last write it is t + 1.
+        assert next_generation(fresh_image(SMALL)) == 1
+        assert next_generation(img(SMALL, 0, 3)) == 2
+        assert next_generation(img(SMALL, 2, 3)) == 3
+        params = plan(2, [50, 50, 2])  # h = (6, 4, 1): k0 = 5 is generation 1
+        assert next_generation(img(params, 0, 0, 0, 0, 0, 1)) == 2
+
     def test_out_of_range_message(self):
         with pytest.raises(DomainError):
             encode_write(fresh_image(SMALL), 7)
@@ -131,13 +140,25 @@ class TestDecodeRejectsCorruptImages:
         # No zeros -> final generation, which must show exactly h3 = 1 live
         # (non-erased) symbol; an all-erased image shows none.
         all_erased = img(params, *([params.erased] * params.h[0]))
-        with pytest.raises(CorruptStateError):
+        with pytest.raises(
+            CorruptStateError, match="^last write should leave 1 live symbols, found 0$"
+        ):
             decode(all_erased)
 
     def test_last_write_live_count_mismatch(self):
         # k0 = 0 -> generation 2, whose live symbols must number h2 = 1.
-        with pytest.raises(CorruptStateError):
+        with pytest.raises(
+            CorruptStateError, match="^last write should leave 1 live symbols, found 2$"
+        ):
             decode(img(SMALL, 1, 1))
+
+    def test_single_write_code_counts_live_symbols(self):
+        # With t = 1 the first write is the last: an erased symbol is not live.
+        params = plan(2, [5])  # h = (2,)
+        with pytest.raises(
+            CorruptStateError, match="^last write should leave 2 live symbols, found 1$"
+        ):
+            decode(img(params, 3, 1))
 
     def test_last_write_message_above_cardinality(self):
         params = plan(2, [25, 5])  # h = (4, 2); last capacity 8 > v2 = 5
@@ -151,7 +172,9 @@ class TestDecodeRejectsCorruptImages:
         params = CodeParams(m=2, v=(7, 3, 2), h=(4, 2, 1))
         # k0 = 1 -> generation 2, which must show exactly h2 = 2 live
         # symbols; here three survive the erasure marker.
-        with pytest.raises(CorruptStateError):
+        with pytest.raises(
+            CorruptStateError, match="^write 2 should leave 2 live symbols, found 3$"
+        ):
             decode(img(params, 3, 1, 0, 2))
 
     def test_middle_write_message_above_cardinality(self):
