@@ -1,30 +1,45 @@
 """Exact binomial coefficients and the lexical rank/unrank bijection.
 
 A length-n binary vector with k ones is identified with its index in the
-lexically sorted list of all such vectors.  Vectors are plain sequences of
-0/1 ints written leftmost-first, so the string "0101100" becomes
-``[0, 1, 0, 1, 1, 0, 0]``; bit *positions* are labeled n-1 down to 0 from
-left to right, which makes the index of a vector with ones at positions
-i1 > i2 > ... > ik exactly C(i1, k) + C(i2, k-1) + ... + C(ik, 1).
+lexically sorted list of all such vectors.  Vectors are sequences of 0/1
+ints written leftmost-first (a list, or a bytes object), so the string
+"0101100" becomes ``[0, 1, 0, 1, 1, 0, 0]``; bit *positions* are labeled n-1
+down to 0 from left to right, which makes the index of a vector with ones
+at positions i1 > i2 > ... > ik exactly C(i1, k) + C(i2, k-1) + ... + C(ik, 1).
 
-Both :func:`rank` and :func:`unrank` scan the positions left to right with
-j ones still to place and keep the running binomial c = C(i, j) of the
-position i under the scan.  Moving one position right steps it exactly:
+Both scans keep the running binomial c = C(i, j) of position i with j ones
+still to place, and cross a run of g zeros in one exact step,
 
-  after a zero   C(i-1, j)   = C(i, j) * (i - j) // i
-  after a one    C(i-1, j-1) = C(i, j) * j // i
+  C(i-g, j) = C(i, j) * perm(i-j, g) // perm(i, g),
 
-so a scan costs one ``math.comb`` at its start and then two small-by-big
-operations per position.  All arithmetic is exact arbitrary-precision
-integer arithmetic; the counts involved routinely exceed 64 bits.
+since C(i-g, j) / C(i, j) = (i-j)!(i-g)! / (i!(i-g-j)!).  :func:`rank`
+finds the runs with ``bytes.split`` and merges the step past each one,
+C(i-1, j-1) = C(i, j) * j // i, into the run after it, so it does Python
+work only per one: one ``math.comb`` at the start, then one product and one
+exact division.  :func:`unrank` does not know a run's length in advance.
+When the runs are long (more than _STEP_RUN zeros per one on average) it
+estimates the run from log r - log c in floating point, takes the exact
+step, and corrects the estimate by single positions until
+C(i, j) <= r < C(i+1, j); a jump costs about as much as that many single
+steps, so short runs are stepped one position at a time,
+
+  after a zero   C(i-1, j) = C(i, j) * (i - j) // i.
+
+Every comparison that decides a bit is exact arbitrary-precision integer
+arithmetic; the counts involved routinely exceed 64 bits.
 """
 
 from __future__ import annotations
 
-from math import comb
+from itertools import islice
+from math import comb, log, perm
 from typing import Sequence
 
 from .errors import DomainError
+
+# unrank steps a run of zeros one position at a time while its expected
+# length, (i - j) / j, is at most this; a longer one is cheaper as one jump.
+_STEP_RUN = 16
 
 
 def binomial(n: int, k: int) -> int:
@@ -43,33 +58,39 @@ def rank(bits: Sequence[int]) -> int:
     The result lies in [0, C(n, k) - 1] for a length-n vector of weight k.
     Each one at position i with j ones left (itself included) adds C(i, j).
     """
-    bits = list(bits)
+    if not isinstance(bits, bytes):
+        try:
+            # iter() keeps an int argument from reading as a length.
+            bits = bytes(iter(bits))
+        except (TypeError, ValueError):
+            raise DomainError("bit vector elements must be 0 or 1") from None
+    n = len(bits)
     j = bits.count(1)
-    if bits.count(0) + j != len(bits):
+    if bits.count(0) + j != n:
         raise DomainError("bit vector elements must be 0 or 1")
     if j == 0:
         return 0
-    i = len(bits) - 1
-    c = comb(i, j)
-    r = 0
-    for b in bits:
-        if b:
-            r += c
-            if j == 1:
-                break
-            c = c * j // i
-            j -= 1
-        else:
-            c = c * (i - j) // i
-        i -= 1
+    # The runs of zeros before, between and after the ones.
+    runs = map(len, bits.split(b"\x01"))
+    i = n - 1 - next(runs)
+    c = r = comb(i, j)
+    for g in islice(runs, j - 1):
+        if not c:  # i < j: every later term is 0 too
+            break
+        # Step past the one at i and the g zeros after it at once:
+        # C(i-1-g, j-1) = C(i, j) * j * perm(i-j, g) // perm(i, g+1).
+        c = c * (j * perm(i - j, g)) // perm(i, g + 1)
+        i -= g + 1
+        j -= 1
+        r += c
     return r
 
 
 def unrank(index: int, n: int, k: int) -> list[int]:
     """Return the unique length-n weight-k vector whose :func:`rank` is `index`.
 
-    Greedy left to right: position i takes a one exactly when the running
-    C(i, j) does not exceed what is left of the index.
+    Greedy left to right: each one goes at the largest label i whose C(i, j)
+    does not exceed what is left of the index.
     """
     if n < 0 or k < 0:
         raise DomainError(f"unrank needs nonnegative n and k, got ({n}, {k})")
@@ -83,13 +104,38 @@ def unrank(index: int, n: int, k: int) -> list[int]:
     i, j, r = n - 1, k, index
     c = total * (n - k) // n  # C(n-1, k)
     while True:
-        if c <= r:
-            r -= c
-            bits[n - 1 - i] = 1
-            if j == 1:
+        if c > r:
+            # Label i is a zero.  The run of zeros it starts is about
+            # (i - j) / j long; a short one is stepped one label at a time.
+            if i - j <= _STEP_RUN * j:
+                while c > r:
+                    c = c * (i - j) // i
+                    i -= 1
+            elif not r:  # C(i, j) > 0 = r down to i = j: the ones end the vector
+                bits[n - j:] = [1] * j
                 return bits
-            c = c * j // i
-            j -= 1
-        else:
-            c = c * (i - j) // i
+            else:
+                # Estimate the run d from log C(i-d, j) - log C(i, j) ~
+                # d * log(1 - j/x) at its midpoint x, refined once; i - d >= j,
+                # since C(j, j) = 1 <= r.  Then step exactly and correct.
+                y = log(r) - log(c)
+                d = y / log(1 - j / i)
+                if d >= i - j:
+                    d = i - j
+                else:
+                    d = min(i - j, int(y / log(1 - j / (i - (d - 1) / 2))) + 1)
+                c = c * perm(i - j, d) // perm(i, d)
+                i -= d
+                while c > r:  # the run is longer than estimated
+                    c = c * (i - j) // i
+                    i -= 1
+                while c * (i + 1) <= r * (i + 1 - j):  # shorter: C(i+1, j) <= r
+                    c = c * (i + 1) // (i + 1 - j)
+                    i += 1
+        r -= c
+        bits[n - 1 - i] = 1
+        if j == 1:
+            return bits
+        c = c * j // i
+        j -= 1
         i -= 1

@@ -9,10 +9,16 @@ so for m = 2 the symbol sequence (2, 3) serializes to wits "1011".
 In memory the n wits are one int, ``WitArray.word``, with wit 0 as its most
 significant of n bits: ``format(word, f"0{n}b")`` is the wit string and
 ``int(wits, 2)`` reads it back.  The write-once check is then
-``word & ~new == 0`` and the programmed count ``word.bit_count()``.  Images
-cross this boundary as wit strings, each symbol rendered or parsed once
-through a table of the distinct values present, so the cost stays linear in
-n for any m.
+``word & ~new == 0`` and the programmed count ``word.bit_count()``.
+
+Images cross this boundary as wit strings.  For m <= 8 a symbol fits in a
+byte, and the conversion works on bit planes: plane p, the p-th wit of every
+symbol, is the string slice ``wits[p::m]``.  Read as one byte per wit, a
+plane is an int whose bytes are 0 or 1; shifted by m-1-p and added up, the
+planes give an int whose bytes are the symbols.  Writing goes the other way
+through ``bytearray`` slice assignment.  Both directions are a handful of
+C-level operations per plane, with no Python step per symbol.  For m > 8
+each distinct symbol value is rendered or parsed once through a table.
 
 Session state is a small versioned text file, bit-exact across runs:
 
@@ -35,7 +41,7 @@ from typing import Iterable
 
 from .errors import CorruptStateError, DomainError, WriteOnceViolation
 from .planner import CodeParams, validate
-from .wom_codec import MemoryImage
+from .wom_codec import BYTE_M, MemoryImage
 
 STATE_MAGIC = "womstate"
 STATE_VERSION = 1
@@ -44,13 +50,31 @@ STATE_VERSION = 1
 def _is_wit_string(wits: str) -> bool:
     """True when every character is an ASCII 0 or 1.  ``int(x, 2)`` alone
     would also take "0b11", "1_1", "+11" and surrounding whitespace."""
-    return wits.count("0") + wits.count("1") == len(wits)
+    return wits.isascii() and not wits.encode("ascii").translate(None, b"01")
+
+
+_BYTE_VALUES = bytes(range(256))
+# ASCII wit "0"/"1" -> byte 0/1, and byte value -> ASCII wit of its bit b.
+_WIT_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
+_WIT_OF_BIT = tuple(
+    bytes.maketrans(_BYTE_VALUES, bytes(48 + (v >> b & 1) for v in range(256)))
+    for b in range(BYTE_M)
+)
 
 
 def symbols_to_bits(symbols: Iterable[int], m: int) -> str:
     """Render symbol values as one wit string of m-wit groups, MSB first
     within a group."""
     symbols = tuple(symbols)
+    try:
+        data = bytes(symbols) if m <= BYTE_M else None
+    except ValueError:  # a value outside 0..255: the table path names it
+        data = None
+    if data is not None and not data.translate(None, _BYTE_VALUES[: 1 << m]):
+        wits = bytearray(len(data) * m)
+        for p in range(m):
+            wits[p::m] = data.translate(_WIT_OF_BIT[m - 1 - p])
+        return wits.decode("ascii")
     groups = {s: format(s, f"0{m}b") for s in set(symbols)}
     if groups and not (min(groups) >= 0 and max(groups).bit_length() <= m):
         bad = next(s for s in symbols if s < 0 or s.bit_length() > m)
@@ -64,6 +88,13 @@ def bits_to_symbols(wits: str, m: int) -> list[int]:
         raise DomainError(f"{len(wits)} wits do not form whole {m}-wit symbols")
     if not _is_wit_string(wits):
         raise DomainError("wit string must be ASCII 0/1")
+    if m <= BYTE_M:
+        raw = wits.encode("ascii")
+        word = 0
+        for p in range(m):
+            plane = raw[p::m].translate(_WIT_TO_BIT)
+            word |= int.from_bytes(plane, "big") << (m - 1 - p)
+        return list(word.to_bytes(len(raw) // m, "big"))
     if not wits:  # the zip below takes m iterators, which n >= m bounds
         return []
     chunks = list(map("".join, zip(*[iter(wits)] * m)))

@@ -18,7 +18,7 @@ them so that encoder and decoder agree:
 The block sizes B(k) = C(h, k) * q^k come from one walk over k that takes
 C(h, kmin) once and then steps
 
-  B(k+1) = B(k) * (h - k) * q // (k + 1)
+  B(k+1) = B(k) * ((h - k) * q) // (k + 1)
 
 exactly, since C(h, k+1) = C(h, k) * (h - k) / (k + 1).  The capacity, the
 block a message falls in and the offset of a payload's block all read the
@@ -28,16 +28,24 @@ walks the other way, from kmax down by B(k-1) = B(k) * k // ((h-k+1) * q),
 and stops as soon as the blocks summed reach the number asked for.
 
 The last write of a code bypasses position modulation entirely:
-:func:`last_write_encode` maps a message M to the base-(2^m - 1)
-representation of M + 1 over the remaining window, which never produces
-the all-zero word and never uses the erased symbol value 2^m - 1.  Both
-bijections split and join their digits with one private pair,
-:func:`_digits` and :func:`_number`.
+:func:`last_write_encode` maps a message M to the base-(q + 1)
+representation of M + 1 over the last window, whose q is 2^m - 2, so the
+base is 2^m - 1.  That never produces the all-zero word and never uses the
+erased symbol value 2^m - 1.  Both bijections split and join their digits
+with one private pair, :func:`_digits` and :func:`_number`: base 2 (the
+middle writes at m = 2) goes through a binary string, any other base
+through a divide-and-conquer split by base^(2^i).
+
+Python work is per written slot only: the mask goes to and from
+:mod:`womcode.combinadic` as 0/1 values, the written slots are found with
+``compress`` (or, for a ``bytes`` payload, ``translate``), and the digit
+pair takes at most one Python step per digit, plus a few big divisions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 from .combinadic import binomial, rank, unrank
@@ -63,20 +71,66 @@ class WriteWindow:
             raise DomainError(f"alphabet size must be positive, got {self.q}")
 
 
+# Byte value -> 1 for a written slot value, 0 for an unwritten slot.
+_NONZERO_IS_ONE = bytes([0]) + bytes([1]) * 255
+# Binary digit <-> ASCII "0"/"1".
+_ASCII_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
+_BIT_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
+# Digit strings of at most this length are split or joined one digit at a time.
+_LEAF_DIGITS = 32
+
+
+def _powers(base: int, length: int) -> list[int]:
+    """base ** 2**i for every i with 2**i < length (and i = 0)."""
+    powers = [base]
+    while 1 << len(powers) < length:
+        powers.append(powers[-1] * powers[-1])
+    return powers
+
+
 def _digits(x: int, base: int, length: int) -> list[int]:
-    """The `length` base-`base` digits of x, most significant first."""
-    digits = [0] * length
-    for pos in range(length - 1, -1, -1):
-        x, digits[pos] = divmod(x, base)
-    return digits
+    """The `length` base-`base` digits of x, most significant first.
+
+    Base 2 reads them off ``format(x, "b")``.  Any other base splits off the
+    low 2^i digits with one division by base^(2^i), 2^i < length, and
+    recurses into both halves, so a long digit string costs a few big
+    divisions, not one division of what is left of x per digit.  No decimal
+    string is built, so Python's int/str digit limit never applies.
+    """
+    if base == 2 and length:
+        return list(format(x, f"0{length}b").encode("ascii").translate(_ASCII_TO_BIT))
+    powers = _powers(base, length)
+
+    def split(x: int, length: int) -> list[int]:
+        if length <= _LEAF_DIGITS:
+            digits = [0] * length
+            for pos in range(length - 1, -1, -1):
+                x, digits[pos] = divmod(x, base)
+            return digits
+        i = (length - 1).bit_length() - 1
+        high, low = divmod(x, powers[i])
+        return split(high, length - (1 << i)) + split(low, 1 << i)
+
+    return split(x, length)
 
 
 def _number(digits: Iterable[int], base: int) -> int:
     """Inverse of :func:`_digits`: the base-`base` number with these digits."""
-    x = 0
-    for d in digits:
-        x = x * base + d
-    return x
+    digits = list(digits)
+    if base == 2 and digits:
+        return int(bytes(digits).translate(_BIT_TO_ASCII), 2)
+    powers = _powers(base, len(digits))
+
+    def join(digits: list[int]) -> int:
+        if len(digits) <= _LEAF_DIGITS:
+            x = 0
+            for d in digits:
+                x = x * base + d
+            return x
+        i = (len(digits) - 1).bit_length() - 1
+        return join(digits[: -(1 << i)]) * powers[i] + join(digits[-(1 << i) :])
+
+    return join(digits)
 
 
 def _blocks(window: WriteWindow) -> Iterator[tuple[int, int]]:
@@ -85,7 +139,7 @@ def _blocks(window: WriteWindow) -> Iterator[tuple[int, int]]:
     block = binomial(h, window.kmin) * q**window.kmin
     for k in range(window.kmin, window.kmax):
         yield k, block
-        block = block * (h - k) * q // (k + 1)
+        block = block * ((h - k) * q) // (k + 1)
     yield window.kmax, block
 
 
@@ -131,9 +185,12 @@ def message_to_payload(message: int, window: WriteWindow) -> tuple[int, ...]:
     for k, block in _blocks(window):
         if rem < block:
             mask_index, value_index = divmod(rem, q**k)
-            digits = iter(_digits(value_index, q, k))
-            mask = unrank(mask_index, h, k)
-            return tuple([next(digits) + 1 if bit else 0 for bit in mask])
+            # The mask becomes the payload: each written slot, found by
+            # compress, takes its value; the others stay 0.
+            values = unrank(mask_index, h, k)
+            for pos, d in zip(compress(range(h), values), _digits(value_index, q, k)):
+                values[pos] = d + 1
+            return tuple(values)
         rem -= block
     raise DomainError(
         f"message {message} exceeds window capacity {window_capacity(window)}"
@@ -141,15 +198,23 @@ def message_to_payload(message: int, window: WriteWindow) -> tuple[int, ...]:
 
 
 def payload_to_message(values: Sequence[int], window: WriteWindow) -> int:
-    """Exact inverse of :func:`message_to_payload`."""
+    """Exact inverse of :func:`message_to_payload`.
+
+    `values` may be any sequence of ints; a ``bytes`` object (slot values
+    below 256, as every code with m <= 8 has) is read with bytes methods
+    alone.
+    """
     h, q = window.h, window.q
     if len(values) != h:
         raise DomainError(f"payload has {len(values)} slot values, window has {h} slots")
+    if isinstance(values, bytes):
+        written, mask = values.translate(None, b"\0"), values.translate(_NONZERO_IS_ONE)
+    else:
+        written, mask = list(filter(None, values)), map(bool, values)
     # Only the k written slots are range-checked: the zeros are in range.
-    digits = [d - 1 for d in values if d]
-    if digits and not 0 <= min(digits) <= max(digits) < q:
+    if written and not 1 <= min(written) <= max(written) <= q:
         raise DomainError(f"slot values must lie in [0, {q}]")
-    k = len(digits)
+    k = len(written)
     if not window.kmin <= k <= window.kmax:
         raise DomainError(f"payload writes {k} slots, window allows "
                           f"[{window.kmin}, {window.kmax}]")
@@ -158,19 +223,18 @@ def payload_to_message(values: Sequence[int], window: WriteWindow) -> int:
         if j == k:
             break
         base += block
-    return base + rank(map(bool, values)) * q**k + _number(digits, q)
+    return base + rank(mask) * q**k + _number([d - 1 for d in written], q)
 
 
-def last_write_encode(message: int, ht: int, m: int) -> list[int]:
-    """Spread a last-write message over ht symbols as base-(2^m - 1) digits.
+def last_write_encode(message: int, window: WriteWindow) -> list[int]:
+    """Spread a last-write message over the last window's h symbols as
+    base-(q + 1) digits, q + 1 = 2^m - 1.
 
-    The message range is [0, (2^m - 1)^ht - 2]; the stored word is M + 1 so
+    The message range is [0, (q + 1)^h - 2]; the stored word is M + 1 so
     the all-zero word (which would read as an earlier generation) is never
-    emitted, and no digit can equal the erased value 2^m - 1.
+    emitted, and no digit can equal the erased value q + 1.
     """
-    if ht < 1 or m < 2:
-        raise DomainError(f"invalid last window ht={ht}, m={m}")
-    base = 2**m - 1
+    base, ht = window.q + 1, window.h
     if not 0 <= message <= base**ht - 2:
         raise DomainError(
             f"message {message} out of range for last write over {ht} symbols"
@@ -178,14 +242,14 @@ def last_write_encode(message: int, ht: int, m: int) -> list[int]:
     return _digits(message + 1, base, ht)
 
 
-def last_write_decode(digits: Sequence[int], m: int) -> int:
+def last_write_decode(digits: Sequence[int], window: WriteWindow) -> int:
     """Inverse of :func:`last_write_encode` for a stored digit sequence."""
-    base = 2**m - 1
-    if digits and not 0 <= min(digits) <= max(digits) <= base - 1:
+    top = window.q
+    if digits and not 0 <= min(digits) <= max(digits) <= top:
         raise CorruptStateError(
-            f"last-write symbol outside [0, {base - 1}]: {list(digits)}"
+            f"last-write symbol outside [0, {top}]: {list(digits)}"
         )
-    x = _number(digits, base)
+    x = _number(digits, top + 1)
     if x == 0:
         raise CorruptStateError("all-zero word is not a legal last write")
     return x - 1

@@ -16,6 +16,14 @@ for the first write of a t > 1 code, the non-erased ones otherwise.
 :func:`next_generation` holds the one rule for which write an image takes
 next: the all-zero image takes write 1.
 
+An image is a tuple of ints for every m, but no step here loops over its
+symbols in Python.  For m <= BYTE_M (8) a symbol fits in a byte, and the
+per-symbol work is done by ``bytes`` methods: erasing is one ``translate``
+(nonzero -> erased) plus an ``rsplit``/``join`` at the surplus zeros, and
+the live symbols are a ``translate`` that deletes the erased value.  Wider
+symbols go through ``map`` and ``filter`` over builtins.  Filling a window
+finds its zeros with ``compress`` and loops only over the written slots.
+
 Everything here is pure: images go in, new images come out.  Wit-level
 monotonicity is a consequence of the construction (symbols only move
 0 -> value -> erased) and is enforced independently by
@@ -25,6 +33,8 @@ monotonicity is a consequence of the construction (symbols only move
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import not_
 from typing import NamedTuple
 
 from .errors import CapacityError, CorruptStateError, DomainError
@@ -35,6 +45,9 @@ from .message_codec import (
     payload_to_message,
 )
 from .planner import CodeParams, write_window
+
+# Symbols of at most this many wits fit in a byte (2^m - 1 <= 255).
+BYTE_M = 8
 
 
 @dataclass(frozen=True)
@@ -51,7 +64,15 @@ class MemoryImage:
                 f"image must hold {self.params.h[0]} symbols, got {len(self.symbols)}"
             )
         top = self.params.erased
-        if self.symbols and not 0 <= min(self.symbols) <= max(self.symbols) <= top:
+        if self.params.m <= BYTE_M:
+            try:
+                # What is left after deleting 0..top is out of range.
+                bad = bytes(self.symbols).translate(None, bytes(range(top + 1)))
+            except (TypeError, ValueError):  # not an int in 0..255
+                bad = True
+        else:
+            bad = self.symbols and not 0 <= min(self.symbols) <= max(self.symbols) <= top
+        if bad:
             raise DomainError(f"symbol values must lie in [0, {top}]")
 
     @property
@@ -90,20 +111,20 @@ def erase_to(image: MemoryImage, target_zeros: int) -> MemoryImage:
     starting from the largest position index, a fixed rule standing in for
     the free choice the construction allows.
     """
-    erased = image.params.erased
-    symbols = [erased if s != 0 else 0 for s in image.symbols]
-    excess = symbols.count(0) - target_zeros
-    if excess < 0:
-        raise CapacityError(
-            f"only {symbols.count(0)} zero symbols left, need {target_zeros}"
-        )
-    for i in range(len(symbols) - 1, -1, -1):
-        if excess == 0:
-            break
-        if symbols[i] == 0:
-            symbols[i] = erased
-            excess -= 1
-    return MemoryImage(image.params, tuple(symbols))
+    params = image.params
+    erased = params.erased
+    zeros = image.zero_count
+    if zeros < target_zeros:
+        raise CapacityError(f"only {zeros} zero symbols left, need {target_zeros}")
+    # One byte per symbol, 0 for a zero; rsplit at the last surplus zeros
+    # and join with the nonzero byte erases those too.
+    surplus = zeros - target_zeros
+    if params.m <= BYTE_M:
+        data = bytes(image.symbols).translate(bytes([0]) + bytes([erased]) * 255)
+        data = bytes([erased]).join(data.rsplit(b"\0", surplus))
+        return MemoryImage(params, tuple(data))
+    data = b"\1".join(bytes(map(bool, image.symbols)).rsplit(b"\0", surplus))
+    return MemoryImage(params, tuple(map((0, erased).__getitem__, data)))
 
 
 def next_generation(image: MemoryImage) -> int:
@@ -134,13 +155,18 @@ def encode_write(image: MemoryImage, message: int) -> MemoryImage:
 
     # A fresh image already holds h_1 zeros, so staging leaves it unchanged.
     staged = erase_to(image, params.h[generation - 1])
+    window = write_window(params.m, params.h, generation)
     if generation == t:
-        values = last_write_encode(message, params.h[t - 1], params.m)
+        values = last_write_encode(message, window)
     else:
-        values = message_to_payload(message, write_window(params.m, params.h, generation))
-    # The zero symbols of the staged image are the window's slots, in order.
-    fill = iter(values)
-    return MemoryImage(params, [next(fill) if s == 0 else s for s in staged.symbols])
+        values = message_to_payload(message, window)
+    # The zero symbols of the staged image are the window's slots, in order:
+    # each written slot's value goes to the position of its zero.
+    symbols = list(staged.symbols)
+    slots = list(compress(range(len(symbols)), map(not_, symbols)))
+    for slot in compress(range(len(values)), values):
+        symbols[slots[slot]] = values[slot]
+    return MemoryImage(params, symbols)
 
 
 def decode(image: MemoryImage) -> GenerationReading:
@@ -158,6 +184,8 @@ def decode(image: MemoryImage) -> GenerationReading:
     # writes follow, every symbol is live.
     if generation == 1 and t > 1:
         live = image.symbols
+    elif params.m <= BYTE_M:
+        live = bytes(image.symbols).translate(None, bytes([erased]))
     else:
         live = list(filter(erased.__ne__, image.symbols))
     if len(live) != params.h[generation - 1]:
@@ -166,14 +194,14 @@ def decode(image: MemoryImage) -> GenerationReading:
             f"{write} should leave {params.h[generation - 1]} live symbols, "
             f"found {len(live)}"
         )
-    if generation == t:
-        message = last_write_decode(live, params.m)
-    else:
-        try:
-            window = write_window(params.m, params.h, generation)
+    try:
+        window = write_window(params.m, params.h, generation)
+        if generation == t:
+            message = last_write_decode(live, window)
+        else:
             message = payload_to_message(live, window)
-        except DomainError as exc:
-            raise CorruptStateError(f"undecodable write {generation}: {exc}") from exc
+    except DomainError as exc:
+        raise CorruptStateError(f"undecodable write {generation}: {exc}") from exc
 
     if message >= params.v[generation - 1]:
         raise CorruptStateError(

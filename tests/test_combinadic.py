@@ -42,6 +42,59 @@ def unrank_oracle(index: int, n: int, k: int) -> list[int]:
     return out
 
 
+def scan_rank(bits: list[int]) -> int:
+    """Reference: the per-position scan that steps a running binomial over
+    every position, zeros included."""
+    j = bits.count(1)
+    if j == 0:
+        return 0
+    i = len(bits) - 1
+    c = math.comb(i, j)
+    r = 0
+    for b in bits:
+        if b:
+            r += c
+            if j == 1:
+                break
+            c = c * j // i
+            j -= 1
+        else:
+            c = c * (i - j) // i
+        i -= 1
+    return r
+
+
+def scan_unrank(index: int, n: int, k: int) -> list[int]:
+    """Reference: the greedy scan that tests every position against the
+    running C(i, j)."""
+    bits = [0] * n
+    if k == 0:
+        return bits
+    i, j, r = n - 1, k, index
+    c = math.comb(n, k) * (n - k) // n
+    while True:
+        if c <= r:
+            r -= c
+            bits[n - 1 - i] = 1
+            if j == 1:
+                return bits
+            c = c * j // i
+            j -= 1
+        else:
+            c = c * (i - j) // i
+        i -= 1
+
+
+def shaped_vectors(rng: random.Random, n: int, k: int):
+    """Weight-k vectors of length n whose runs of zeros take the shapes the
+    kernels treat apart: random, packed left, packed right, split between
+    both ends around one run as long as the vector allows, and evenly spaced."""
+    ones = [set(rng.sample(range(n), k)), set(range(k)), set(range(n - k, n))]
+    ones.append(set(range(k // 2)) | set(range(n - (k - k // 2), n)))
+    ones.append({p * n // k for p in range(k)} if k else set())
+    return [[1 if p in chosen else 0 for p in range(n)] for chosen in ones]
+
+
 class TestKernels:
     def test_worked_example(self):
         assert combinadic.rank(bits("0101100")) == 15
@@ -121,6 +174,53 @@ def test_kernels_agree_with_oracles_on_large_inputs():
                 assert combinadic.unrank(x, n, k) == unrank_oracle(x, n, k)
 
 
+def test_kernels_agree_with_scans_exhaustively():
+    for n in range(13):
+        for k in range(n + 1):
+            for index in range(math.comb(n, k)):
+                bits = scan_unrank(index, n, k)
+                assert combinadic.unrank(index, n, k) == bits
+                assert combinadic.rank(bits) == scan_rank(bits) == index
+
+
+def test_kernels_agree_with_scans_on_seeded_vectors():
+    rng = random.Random(20261018)
+    for case in range(60):
+        n = rng.randrange(1, 4001) if case % 4 else rng.randrange(1, 40)
+        for k in sorted({1, 2, n // 2, n - 1, n} - {0}):
+            for bits in shaped_vectors(rng, n, k):
+                index = scan_rank(bits)
+                assert combinadic.rank(bits) == index
+                assert combinadic.rank(bytes(bits)) == index
+                assert combinadic.unrank(index, n, k) == bits
+                # The scan oracle walks every position, so it runs on a few
+                # more indices only: the ends, and one at random.
+                for x in (0, math.comb(n, k) - 1, rng.randrange(math.comb(n, k))):
+                    assert combinadic.unrank(x, n, k) == scan_unrank(x, n, k)
+
+
+def test_sparse_vectors_cross_long_runs():
+    # Runs of hundreds of zeros per one take unrank's jump; the estimate is
+    # corrected by single steps in both directions.
+    rng = random.Random(4096)
+    for _ in range(40):
+        n = rng.randrange(2000, 4001)
+        k = rng.randrange(1, 40)
+        total = math.comb(n, k)
+        for index in (0, 1, total // 2, total - 2, total - 1, rng.randrange(total)):
+            bits = scan_unrank(index, n, k)
+            assert combinadic.unrank(index, n, k) == bits
+            assert combinadic.rank(bits) == index
+
+
+def test_empty_vector():
+    assert combinadic.rank([]) == 0
+    assert combinadic.rank(b"") == 0
+    assert combinadic.unrank(0, 0, 0) == []
+    with pytest.raises(DomainError):
+        combinadic.unrank(1, 0, 0)
+
+
 def test_big_binomial_against_additive_pascal_row():
     # Independent oracle: build row 139 of Pascal's triangle by additions only.
     row = [1]
@@ -152,8 +252,9 @@ def test_validation_errors():
         combinadic.binomial(-1, 0)
     with pytest.raises(DomainError):
         combinadic.binomial(3, -2)
-    with pytest.raises(DomainError):
-        combinadic.rank([0, 2, 1])
+    for bad in ([0, 2, 1], [0, 256], [-1, 1], [0.5], "01", b"01", 5):
+        with pytest.raises(DomainError, match="bit vector elements must be 0 or 1"):
+            combinadic.rank(bad)
     with pytest.raises(DomainError):
         combinadic.unrank(35, 7, 3)  # C(7,3) = 35, so max index is 34
     with pytest.raises(DomainError):

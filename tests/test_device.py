@@ -88,7 +88,7 @@ class TestLayout:
 
     def test_matches_list_oracle(self):
         rng = random.Random(505)
-        for m in (2, 3, 4, 5, 16):
+        for m in (2, 3, 4, 5, 8, 9, 16):
             for _ in range(40):
                 symbols = [rng.randrange(2**m) for _ in range(rng.randrange(60))]
                 bits = oracle_symbols_to_bits(symbols, m)
@@ -183,7 +183,7 @@ class TestWitArray:
 
     def test_apply_image_matches_list_oracle(self):
         rng = random.Random(2026)
-        for m in (2, 3, 4, 5, 16):
+        for m in (2, 3, 4, 5, 8, 9, 16):
             for case in range(60):
                 h1 = rng.randrange(1, 40)
                 params = CodeParams(m=m, v=(2,), h=(h1,))

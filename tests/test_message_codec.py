@@ -10,8 +10,11 @@ import pytest
 
 from womcode import combinadic
 from womcode.errors import CorruptStateError, DomainError
+from womcode.planner import M_LIMIT, write_window
 from womcode.message_codec import (
     _blocks,
+    _digits,
+    _number,
     WriteWindow,
     last_write_decode,
     last_write_encode,
@@ -40,6 +43,49 @@ def enumerate_payloads(window: WriteWindow):
                 for pos, d in zip(ones, digits):
                     values[pos] = d
                 yield tuple(values)
+
+
+def loop_digits(x: int, base: int, length: int) -> list[int]:
+    """Reference: one divmod of what is left of x per digit."""
+    digits = [0] * length
+    for pos in range(length - 1, -1, -1):
+        x, digits[pos] = divmod(x, base)
+    return digits
+
+
+def loop_number(digits, base: int) -> int:
+    """Reference: one multiply-add per digit."""
+    x = 0
+    for d in digits:
+        x = x * base + d
+    return x
+
+
+class TestDigits:
+    def test_match_loops_on_seeded_inputs(self):
+        rng = random.Random(3141)
+        for case in range(400):
+            base = rng.choice((1, 2, 3, 4, 6, 7, 8, 14, 15, 16, 30, 254, 255, 256, 1023))
+            length = rng.choice((0, 1, 2, 31, 32, 33, 63, 64, 65, rng.randrange(700)))
+            x = rng.randrange(base**length)
+            digits = _digits(x, base, length)
+            assert digits == loop_digits(x, base, length), (base, length)
+            assert _number(digits, base) == x
+            assert _number(iter(digits), base) == loop_number(digits, base)
+
+    def test_base_3_beyond_the_str_digit_limit(self):
+        # The last write of a 2^8191 code at m = 2 has about 5168 base-3
+        # digits; Python refuses str <-> int past 4300 decimal digits, so
+        # neither direction may go through a decimal string.
+        rng = random.Random(8191)
+        for length in (4301, 5168, 6000):
+            x = rng.randrange(3**length)
+            digits = _digits(x, 3, length)
+            assert digits == loop_digits(x, 3, length)
+            assert _number(digits, 3) == x
+        window = write_window(2, (5168,), 1)
+        message = rng.randrange(3**5168 - 1)
+        assert last_write_decode(last_write_encode(message, window), window) == message
 
 
 class TestWindowCapacity:
@@ -170,40 +216,70 @@ class TestCanonicalEnumeration:
         # k below kmin: a middle write must write at least one slot.
         with pytest.raises(DomainError, match="writes 0 slots"):
             payload_to_message((0, 0), WriteWindow(h=2, q=2, kmin=1, kmax=1))
+        # A bytes payload is checked the same way.
+        for payload, text in bad[:2] + bad[3:]:
+            with pytest.raises(DomainError, match=text):
+                payload_to_message(bytes(payload), w)
+
+    def test_bytes_payload_reads_as_the_tuple(self):
+        rng = random.Random(255)
+        for _ in range(200):
+            h = rng.randrange(1, 300)
+            q = rng.choice((1, 2, 3, 6, 7, 254, 255))
+            kmin = rng.randrange(h + 1)
+            w = WriteWindow(h=h, q=q, kmin=kmin, kmax=min(h, kmin + rng.randrange(40)))
+            message = rng.randrange(window_capacity(w))
+            payload = message_to_payload(message, w)
+            assert payload_to_message(bytes(payload), w) == message
+            assert payload_to_message(list(payload), w) == message
+
+
+def last_window(ht: int, m: int) -> WriteWindow:
+    """The last window of ht symbols of m wits: base 2^m - 1 digits."""
+    return write_window(m, (ht,), 1)
 
 
 class TestLastWrite:
     def test_single_symbol(self):
-        assert last_write_encode(0, 1, 2) == [1]
-        assert last_write_encode(1, 1, 2) == [2]
+        assert last_write_encode(0, last_window(1, 2)) == [1]
+        assert last_write_encode(1, last_window(1, 2)) == [2]
 
     def test_maximal_codeword(self):
-        assert last_write_encode(3**36 - 2, 36, 2) == [2] * 36
+        assert last_write_encode(3**36 - 2, last_window(36, 2)) == [2] * 36
 
     def test_never_all_zero_never_erased(self):
         for m, ht in [(2, 3), (3, 2)]:
             top = (2**m - 1) ** ht - 1
             for message in range(top):
-                digits = last_write_encode(message, ht, m)
+                digits = last_write_encode(message, last_window(ht, m))
                 assert any(digits)
                 assert all(0 <= d <= 2**m - 2 for d in digits)
 
     def test_roundtrip_exhaustive(self):
         for m, ht in [(2, 1), (2, 4), (2, 9), (3, 4)]:
             top = (2**m - 1) ** ht - 1
+            window = last_window(ht, m)
             for message in range(min(top, 10**5)):
-                assert last_write_decode(last_write_encode(message, ht, m), m) == message
+                assert last_write_decode(last_write_encode(message, window), window) == message
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
-            last_write_encode(2, 1, 2)  # capacity is 3^1 - 1 = 2
+            last_write_encode(2, last_window(1, 2))  # capacity is 3^1 - 1 = 2
         with pytest.raises(DomainError):
-            last_write_encode(-1, 1, 2)
+            last_write_encode(-1, last_window(1, 2))
 
     def test_decode_rejects_corrupt_digits(self):
         with pytest.raises(CorruptStateError):
-            last_write_decode([0, 0, 0], 2)
+            last_write_decode([0, 0, 0], last_window(3, 2))
         with pytest.raises(CorruptStateError):
-            last_write_decode([3, 1], 2)  # 3 is the erased value at m=2
+            last_write_decode([3, 1], last_window(2, 2))  # 3 is the erased value at m=2
         with pytest.raises(CorruptStateError):
-            last_write_decode([], 2)
+            last_write_decode([], last_window(1, 2))
+
+    def test_window_carries_the_m_checks(self):
+        # The window is built by write_window, so an m outside 2..M_LIMIT
+        # never reaches the bijection.
+        with pytest.raises(DomainError, match="m must be at least 2"):
+            last_window(5000, 1)
+        with pytest.raises(DomainError, match="m must be at most"):
+            last_window(1, M_LIMIT + 1)

@@ -8,7 +8,8 @@ import random
 import pytest
 
 from womcode.errors import CapacityError, CorruptStateError, DomainError
-from womcode.planner import CodeParams, plan
+from womcode.message_codec import last_write_encode, message_to_payload
+from womcode.planner import CodeParams, plan, write_window
 from womcode.wom_codec import (
     MemoryImage,
     decode,
@@ -322,5 +323,65 @@ class TestRandomizedLifecycles:
 def test_image_validation():
     with pytest.raises(DomainError):
         MemoryImage(SMALL, (0, 1, 2))
-    with pytest.raises(DomainError):
-        MemoryImage(SMALL, (0, 4))
+    wide = CodeParams(m=9, v=(2,), h=(2,))
+    for params, symbols in [
+        (SMALL, (0, 4)),
+        (SMALL, (0, -1)),
+        (SMALL, (0, 256)),
+        (wide, (0, 512)),
+        (wide, (-1, 0)),
+    ]:
+        with pytest.raises(DomainError, match=rf"lie in \[0, {params.erased}\]"):
+            MemoryImage(params, symbols)
+    assert MemoryImage(wide, (511, 0)).symbols == (511, 0)
+
+
+def loop_erase_to(image, target_zeros):
+    """Reference: erase every nonzero symbol, then surplus zeros from the
+    right, one symbol at a time."""
+    erased = image.params.erased
+    symbols = [erased if s != 0 else 0 for s in image.symbols]
+    excess = symbols.count(0) - target_zeros
+    if excess < 0:
+        raise CapacityError(f"only {symbols.count(0)} zero symbols left, need {target_zeros}")
+    for i in range(len(symbols) - 1, -1, -1):
+        if excess == 0:
+            break
+        if symbols[i] == 0:
+            symbols[i] = erased
+            excess -= 1
+    return tuple(symbols)
+
+
+def loop_fill(staged, values):
+    """Reference: each zero of the staged symbols takes the next slot value."""
+    fill = iter(values)
+    return tuple(next(fill) if s == 0 else s for s in staged)
+
+
+class TestAgainstSymbolLoops:
+    @pytest.mark.parametrize("m", [2, 3, 4, 8, 9])
+    def test_seeded_writes_on_random_codes(self, m):
+        rng = random.Random(1000 + m)
+        for _ in range(12):
+            t = rng.randrange(1, 6)
+            params = plan(m, [rng.randrange(2, 2 ** rng.randrange(2, 200)) for _ in range(t)])
+            state = fresh_image(params)
+            for generation in range(1, t + 1):
+                target = params.h[generation - 1]
+                assert erase_to(state, target).symbols == loop_erase_to(state, target)
+                for short in range(target + 1, target + 3):
+                    if short > state.zero_count:
+                        with pytest.raises(CapacityError, match=f"need {short}$"):
+                            erase_to(state, short)
+                message = rng.randrange(1 if generation == 1 else 0, params.v[generation - 1])
+                window = write_window(m, params.h, generation)
+                values = (
+                    last_write_encode(message, window)
+                    if generation == t
+                    else message_to_payload(message, window)
+                )
+                staged = loop_erase_to(state, target)
+                state = encode_write(state, message)
+                assert state.symbols == loop_fill(staged, values)
+                assert decode(state) == (generation, message)
