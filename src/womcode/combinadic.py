@@ -8,22 +8,21 @@ down to 0 from left to right, which makes the index of a vector with ones
 at positions i1 > i2 > ... > ik exactly C(i1, k) + C(i2, k-1) + ... + C(ik, 1).
 
 Both scans keep the running binomial c = C(i, j) of position i with j ones
-still to place, and cross a run of g zeros in one exact step,
+still to place.  :func:`rank` crosses a run of g zeros in one exact step,
 
   C(i-g, j) = C(i, j) * perm(i-j, g) // perm(i, g),
 
-since C(i-g, j) / C(i, j) = (i-j)!(i-g)! / (i!(i-g-j)!).  :func:`rank`
-finds the runs with ``bytes.split`` and merges the step past each one,
+since C(i-g, j) / C(i, j) = (i-j)!(i-g)! / (i!(i-g-j)!).  It finds the
+runs with ``bytes.split`` and merges the step past each one,
 C(i-1, j-1) = C(i, j) * j // i, into the run after it, so it does Python
 work only per one: one ``math.comb`` at the start, then one product and one
-exact division.  :func:`unrank` does not know a run's length in advance.
-When the runs are long (more than _STEP_RUN zeros per one on average) it
-estimates the run from log r - log c in floating point, takes the exact
-step, and corrects the estimate by single positions until
-C(i, j) <= r < C(i+1, j); a jump costs about as much as that many single
-steps, so short runs are stepped one position at a time,
+exact division.  :func:`unrank` does not know a run's length in advance,
+so it steps the zeros one position at a time,
 
-  after a zero   C(i-1, j) = C(i, j) * (i - j) // i.
+  after a zero   C(i-1, j) = C(i, j) * (i - j) // i,
+
+and once what is left of the index is 0 the remaining ones close the
+vector without stepping the zeros before them.
 
 Every comparison that decides a bit is exact arbitrary-precision integer
 arithmetic; the counts involved routinely exceed 64 bits.
@@ -32,14 +31,10 @@ arithmetic; the counts involved routinely exceed 64 bits.
 from __future__ import annotations
 
 from itertools import islice
-from math import comb, log, perm
+from math import comb, perm
 from typing import Sequence
 
 from .errors import DomainError
-
-# unrank steps a run of zeros one position at a time while its expected
-# length, (i - j) / j, is at most this; a longer one is cheaper as one jump.
-_STEP_RUN = 16
 
 
 def binomial(n: int, k: int) -> int:
@@ -105,33 +100,12 @@ def unrank(index: int, n: int, k: int) -> list[int]:
     c = total * (n - k) // n  # C(n-1, k)
     while True:
         if c > r:
-            # Label i is a zero.  The run of zeros it starts is about
-            # (i - j) / j long; a short one is stepped one label at a time.
-            if i - j <= _STEP_RUN * j:
-                while c > r:
-                    c = c * (i - j) // i
-                    i -= 1
-            elif not r:  # C(i, j) > 0 = r down to i = j: the ones end the vector
+            if not r:  # C(i, j) > 0 = r down to i = j: the ones end the vector
                 bits[n - j:] = [1] * j
                 return bits
-            else:
-                # Estimate the run d from log C(i-d, j) - log C(i, j) ~
-                # d * log(1 - j/x) at its midpoint x, refined once; i - d >= j,
-                # since C(j, j) = 1 <= r.  Then step exactly and correct.
-                y = log(r) - log(c)
-                d = y / log(1 - j / i)
-                if d >= i - j:
-                    d = i - j
-                else:
-                    d = min(i - j, int(y / log(1 - j / (i - (d - 1) / 2))) + 1)
-                c = c * perm(i - j, d) // perm(i, d)
-                i -= d
-                while c > r:  # the run is longer than estimated
-                    c = c * (i - j) // i
-                    i -= 1
-                while c * (i + 1) <= r * (i + 1 - j):  # shorter: C(i+1, j) <= r
-                    c = c * (i + 1) // (i + 1 - j)
-                    i += 1
+            while c > r:  # label i is a zero
+                c = c * (i - j) // i
+                i -= 1
         r -= c
         bits[n - 1 - i] = 1
         if j == 1:

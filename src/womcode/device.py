@@ -41,10 +41,13 @@ from typing import Iterable
 
 from .errors import CorruptStateError, DomainError, WriteOnceViolation
 from .planner import CodeParams, validate
-from .wom_codec import BYTE_M, MemoryImage
+from .wom_codec import MemoryImage
 
 STATE_MAGIC = "womstate"
 STATE_VERSION = 1
+
+# Symbols of at most this many wits fit in a byte (2^m - 1 <= 255).
+BYTE_M = 8
 
 
 def _is_wit_string(wits: str) -> bool:

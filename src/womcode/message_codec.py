@@ -32,20 +32,20 @@ The last write of a code bypasses position modulation entirely:
 representation of M + 1 over the last window, whose q is 2^m - 2, so the
 base is 2^m - 1.  That never produces the all-zero word and never uses the
 erased symbol value 2^m - 1.  Both bijections split and join their digits
-with one private pair, :func:`_digits` and :func:`_number`: base 2 (the
-middle writes at m = 2) goes through a binary string, any other base
-through a divide-and-conquer split by base^(2^i).
+with one private pair, :func:`_digits` and :func:`_number`, a
+divide-and-conquer split by base^(2^i).
 
 Python work is per written slot only: the mask goes to and from
 :mod:`womcode.combinadic` as 0/1 values, the written slots are found with
-``compress`` (or, for a ``bytes`` payload, ``translate``), and the digit
-pair takes at most one Python step per digit, plus a few big divisions.
+``compress`` and ``filter``, and the digit pair takes at most one Python
+step per digit, plus a few big divisions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from operator import truth
 from typing import Iterable, Iterator, Sequence
 
 from .combinadic import binomial, rank, unrank
@@ -71,11 +71,6 @@ class WriteWindow:
             raise DomainError(f"alphabet size must be positive, got {self.q}")
 
 
-# Byte value -> 1 for a written slot value, 0 for an unwritten slot.
-_NONZERO_IS_ONE = bytes([0]) + bytes([1]) * 255
-# Binary digit <-> ASCII "0"/"1".
-_ASCII_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
-_BIT_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
 # Digit strings of at most this length are split or joined one digit at a time.
 _LEAF_DIGITS = 32
 
@@ -91,14 +86,11 @@ def _powers(base: int, length: int) -> list[int]:
 def _digits(x: int, base: int, length: int) -> list[int]:
     """The `length` base-`base` digits of x, most significant first.
 
-    Base 2 reads them off ``format(x, "b")``.  Any other base splits off the
-    low 2^i digits with one division by base^(2^i), 2^i < length, and
-    recurses into both halves, so a long digit string costs a few big
-    divisions, not one division of what is left of x per digit.  No decimal
-    string is built, so Python's int/str digit limit never applies.
+    The low 2^i digits, 2^i < length, split off with one division by
+    base^(2^i), and both halves recurse, so a long digit string costs a few
+    big divisions, not one division of what is left of x per digit.  No
+    decimal string is built, so Python's int/str digit limit never applies.
     """
-    if base == 2 and length:
-        return list(format(x, f"0{length}b").encode("ascii").translate(_ASCII_TO_BIT))
     powers = _powers(base, length)
 
     def split(x: int, length: int) -> list[int]:
@@ -117,8 +109,6 @@ def _digits(x: int, base: int, length: int) -> list[int]:
 def _number(digits: Iterable[int], base: int) -> int:
     """Inverse of :func:`_digits`: the base-`base` number with these digits."""
     digits = list(digits)
-    if base == 2 and digits:
-        return int(bytes(digits).translate(_BIT_TO_ASCII), 2)
     powers = _powers(base, len(digits))
 
     def join(digits: list[int]) -> int:
@@ -198,19 +188,11 @@ def message_to_payload(message: int, window: WriteWindow) -> tuple[int, ...]:
 
 
 def payload_to_message(values: Sequence[int], window: WriteWindow) -> int:
-    """Exact inverse of :func:`message_to_payload`.
-
-    `values` may be any sequence of ints; a ``bytes`` object (slot values
-    below 256, as every code with m <= 8 has) is read with bytes methods
-    alone.
-    """
+    """Exact inverse of :func:`message_to_payload`."""
     h, q = window.h, window.q
     if len(values) != h:
         raise DomainError(f"payload has {len(values)} slot values, window has {h} slots")
-    if isinstance(values, bytes):
-        written, mask = values.translate(None, b"\0"), values.translate(_NONZERO_IS_ONE)
-    else:
-        written, mask = list(filter(None, values)), map(bool, values)
+    written = list(filter(None, values))
     # Only the k written slots are range-checked: the zeros are in range.
     if written and not 1 <= min(written) <= max(written) <= q:
         raise DomainError(f"slot values must lie in [0, {q}]")
@@ -223,7 +205,7 @@ def payload_to_message(values: Sequence[int], window: WriteWindow) -> int:
         if j == k:
             break
         base += block
-    return base + rank(mask) * q**k + _number([d - 1 for d in written], q)
+    return base + rank(map(truth, values)) * q**k + _number([d - 1 for d in written], q)
 
 
 def last_write_encode(message: int, window: WriteWindow) -> list[int]:

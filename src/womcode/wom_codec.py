@@ -16,13 +16,14 @@ for the first write of a t > 1 code, the non-erased ones otherwise.
 :func:`next_generation` holds the one rule for which write an image takes
 next: the all-zero image takes write 1.
 
-An image is a tuple of ints for every m, but no step here loops over its
-symbols in Python.  For m <= BYTE_M (8) a symbol fits in a byte, and the
-per-symbol work is done by ``bytes`` methods: erasing is one ``translate``
-(nonzero -> erased) plus an ``rsplit``/``join`` at the surplus zeros, and
-the live symbols are a ``translate`` that deletes the erased value.  Wider
-symbols go through ``map`` and ``filter`` over builtins.  Filling a window
-finds its zeros with ``compress`` and loops only over the written slots.
+An image is a tuple of ints, and no step here loops over its symbols in
+Python: per-symbol work goes through ``set``, ``map`` and ``compress``
+over C functions (``operator``'s, not bound methods, which cost about
+twice as much per call) and ``bytes`` methods.  Erasing marks the zeros in
+a ``bytes`` object and erases the surplus ones with an ``rsplit``/``join``,
+the live symbols are a ``compress`` that drops the erased value, and
+filling a window finds its zeros with ``compress`` and loops only over the
+written slots.
 
 Everything here is pure: images go in, new images come out.  Wit-level
 monotonicity is a consequence of the construction (symbols only move
@@ -33,8 +34,8 @@ monotonicity is a consequence of the construction (symbols only move
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import not_
+from itertools import compress, repeat
+from operator import mul, ne, not_, truth
 from typing import NamedTuple
 
 from .errors import CapacityError, CorruptStateError, DomainError
@@ -45,9 +46,6 @@ from .message_codec import (
     payload_to_message,
 )
 from .planner import CodeParams, write_window
-
-# Symbols of at most this many wits fit in a byte (2^m - 1 <= 255).
-BYTE_M = 8
 
 
 @dataclass(frozen=True)
@@ -64,15 +62,8 @@ class MemoryImage:
                 f"image must hold {self.params.h[0]} symbols, got {len(self.symbols)}"
             )
         top = self.params.erased
-        if self.params.m <= BYTE_M:
-            try:
-                # What is left after deleting 0..top is out of range.
-                bad = bytes(self.symbols).translate(None, bytes(range(top + 1)))
-            except (TypeError, ValueError):  # not an int in 0..255
-                bad = True
-        else:
-            bad = self.symbols and not 0 <= min(self.symbols) <= max(self.symbols) <= top
-        if bad:
+        values = set(self.symbols)  # a few distinct values: range-check those
+        if values and not 0 <= min(values) <= max(values) <= top:
             raise DomainError(f"symbol values must lie in [0, {top}]")
 
     @property
@@ -119,12 +110,8 @@ def erase_to(image: MemoryImage, target_zeros: int) -> MemoryImage:
     # One byte per symbol, 0 for a zero; rsplit at the last surplus zeros
     # and join with the nonzero byte erases those too.
     surplus = zeros - target_zeros
-    if params.m <= BYTE_M:
-        data = bytes(image.symbols).translate(bytes([0]) + bytes([erased]) * 255)
-        data = bytes([erased]).join(data.rsplit(b"\0", surplus))
-        return MemoryImage(params, tuple(data))
-    data = b"\1".join(bytes(map(bool, image.symbols)).rsplit(b"\0", surplus))
-    return MemoryImage(params, tuple(map((0, erased).__getitem__, data)))
+    data = b"\1".join(bytes(map(truth, image.symbols)).rsplit(b"\0", surplus))
+    return MemoryImage(params, tuple(map(mul, data, repeat(erased))))
 
 
 def next_generation(image: MemoryImage) -> int:
@@ -184,10 +171,8 @@ def decode(image: MemoryImage) -> GenerationReading:
     # writes follow, every symbol is live.
     if generation == 1 and t > 1:
         live = image.symbols
-    elif params.m <= BYTE_M:
-        live = bytes(image.symbols).translate(None, bytes([erased]))
     else:
-        live = list(filter(erased.__ne__, image.symbols))
+        live = list(compress(image.symbols, map(ne, image.symbols, repeat(erased))))
     if len(live) != params.h[generation - 1]:
         write = "last write" if generation == t else f"write {generation}"
         raise CorruptStateError(

@@ -200,8 +200,8 @@ def test_kernels_agree_with_scans_on_seeded_vectors():
 
 
 def test_sparse_vectors_cross_long_runs():
-    # Runs of hundreds of zeros per one take unrank's jump; the estimate is
-    # corrected by single steps in both directions.
+    # Runs of hundreds of zeros per one, and the ones packed at the right
+    # end (index 0), where unrank stops stepping once the index is used up.
     rng = random.Random(4096)
     for _ in range(40):
         n = rng.randrange(2000, 4001)
