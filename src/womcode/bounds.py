@@ -137,15 +137,13 @@ def position_modulation_rate(t: int, v: int, m: int = 2) -> float:
     return rate(plan(m, [v] * t))
 
 
-def comparator_rates(
-    t: int, r: int | None = None, v: int = 2**32, m: int = 2
-) -> list[tuple[str, float]]:
+def comparator_rates(t: int, v: int = 2**32, m: int = 2) -> list[tuple[str, float]]:
     """Rates of this scheme and the classic ones at write count t.
 
-    Rows are (scheme-name, bits-per-wit).  The coset scheme's order r may
-    be given explicitly; by default it is derived from t, and the row is
-    omitted at write counts the scheme does not support (it exists only
-    for t = 2**(r-2) + 2, r >= 4).  The linear scheme needs t >= 2.
+    Rows are (scheme-name, bits-per-wit).  The coset scheme's order r is
+    derived from t, and its row is omitted at write counts the scheme does
+    not support (it exists only for t = 2**(r-2) + 2, r >= 4).  The linear
+    scheme needs t >= 2.
     """
     rows = [
         ("position-modulation", position_modulation_rate(t, v, m)),
@@ -153,8 +151,7 @@ def comparator_rates(
     ]
     if t >= 2:
         rows.append(("rivest-shamir-linear", rivest_shamir_linear_rate(t)))
-    if r is None:
-        r = cohen_order_for(t)
+    r = cohen_order_for(t)
     if r is not None:
         rows.append(("cohen", cohen_rate(r)))
     return rows

@@ -37,6 +37,7 @@ replaces the file atomically (write-new-then-rename).
 from __future__ import annotations
 
 import os
+from operator import index
 from typing import Iterable
 
 from .errors import CorruptStateError, DomainError, WriteOnceViolation
@@ -68,7 +69,10 @@ _WIT_OF_BIT = tuple(
 def symbols_to_bits(symbols: Iterable[int], m: int) -> str:
     """Render symbol values as one wit string of m-wit groups, MSB first
     within a group."""
-    symbols = tuple(symbols)
+    try:
+        symbols = tuple(map(index, symbols))
+    except TypeError as exc:
+        raise DomainError(f"symbol values must be ints: {exc}") from None
     try:
         data = bytes(symbols) if m <= BYTE_M else None
     except ValueError:  # a value outside 0..255: the table path names it
@@ -140,7 +144,7 @@ class WitArray:
         """Interpret the wits as a symbol image of `params`."""
         if self.n != params.n:
             raise DomainError(f"array has {self.n} wits, code uses {params.n}")
-        return MemoryImage(params, tuple(bits_to_symbols(self.serialize(), params.m)))
+        return MemoryImage(params, bits_to_symbols(self.serialize(), params.m))
 
     def serialize(self) -> str:
         """The wit string, wit 0 first (``format(0, "00b")`` is "0", so n = 0

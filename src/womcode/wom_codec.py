@@ -16,14 +16,11 @@ for the first write of a t > 1 code, the non-erased ones otherwise.
 :func:`next_generation` holds the one rule for which write an image takes
 next: the all-zero image takes write 1.
 
-An image is a tuple of ints, and no step here loops over its symbols in
-Python: per-symbol work goes through ``set``, ``map`` and ``compress``
-over C functions (``operator``'s, not bound methods, which cost about
-twice as much per call) and ``bytes`` methods.  Erasing marks the zeros in
-a ``bytes`` object and erases the surplus ones with an ``rsplit``/``join``,
-the live symbols are a ``compress`` that drops the erased value, and
-filling a window finds its zeros with ``compress`` and loops only over the
-written slots.
+An image is a tuple of ints that counts its zero symbols once, when it is
+built, so the generation checks of one write or read share that count.  A
+write is one rule, held by one function: erase every nonzero symbol, give
+the first h_g zeros the slot values in order, and erase the zeros after
+them.  :func:`erase_to` is the same rule with every slot value 0.
 
 Everything here is pure: images go in, new images come out.  Wit-level
 monotonicity is a consequence of the construction (symbols only move
@@ -33,10 +30,9 @@ monotonicity is a consequence of the construction (symbols only move
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import mul, ne, not_, truth
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from operator import index
+from typing import NamedTuple, Sequence
 
 from .errors import CapacityError, CorruptStateError, DomainError
 from .message_codec import (
@@ -50,25 +46,28 @@ from .planner import CodeParams, write_window
 
 @dataclass(frozen=True)
 class MemoryImage:
-    """Symbol values of the h_1 groups, index 0 = leftmost."""
+    """Symbol values of the h_1 groups, index 0 = leftmost, and their count
+    of zeros, taken once and left out of ==, hash and repr."""
 
     params: CodeParams
     symbols: tuple[int, ...]
+    zero_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        if len(self.symbols) != self.params.h[0]:
+        try:
+            symbols = tuple(map(index, self.symbols))
+        except TypeError as exc:
+            raise DomainError(f"symbol values must be ints: {exc}") from None
+        object.__setattr__(self, "symbols", symbols)
+        if len(symbols) != self.params.h[0]:
             raise DomainError(
-                f"image must hold {self.params.h[0]} symbols, got {len(self.symbols)}"
+                f"image must hold {self.params.h[0]} symbols, got {len(symbols)}"
             )
         top = self.params.erased
-        values = set(self.symbols)  # a few distinct values: range-check those
+        values = set(symbols)  # a few distinct values: range-check those
         if values and not 0 <= min(values) <= max(values) <= top:
             raise DomainError(f"symbol values must lie in [0, {top}]")
-
-    @property
-    def zero_count(self) -> int:
-        return self.symbols.count(0)
+        object.__setattr__(self, "zero_count", symbols.count(0))
 
 
 class GenerationReading(NamedTuple):
@@ -95,6 +94,18 @@ def detect_generation(image: MemoryImage) -> int:
     return t
 
 
+def _stage(image: MemoryImage, values: Sequence[int]) -> MemoryImage:
+    """The one write rule: erase every nonzero symbol, give the first
+    len(values) zeros the slot values in order, and erase the zeros after
+    them."""
+    erased, zeros = image.params.erased, image.zero_count
+    if zeros < len(values):
+        raise CapacityError(f"only {zeros} zero symbols left, need {len(values)}")
+    fill = iter(values)
+    symbols = [next(fill, erased) if s == 0 else erased for s in image.symbols]
+    return MemoryImage(image.params, symbols)
+
+
 def erase_to(image: MemoryImage, target_zeros: int) -> MemoryImage:
     """Soft-erase down to exactly `target_zeros` zero symbols.
 
@@ -102,16 +113,7 @@ def erase_to(image: MemoryImage, target_zeros: int) -> MemoryImage:
     starting from the largest position index, a fixed rule standing in for
     the free choice the construction allows.
     """
-    params = image.params
-    erased = params.erased
-    zeros = image.zero_count
-    if zeros < target_zeros:
-        raise CapacityError(f"only {zeros} zero symbols left, need {target_zeros}")
-    # One byte per symbol, 0 for a zero; rsplit at the last surplus zeros
-    # and join with the nonzero byte erases those too.
-    surplus = zeros - target_zeros
-    data = b"\1".join(bytes(map(truth, image.symbols)).rsplit(b"\0", surplus))
-    return MemoryImage(params, tuple(map(mul, data, repeat(erased))))
+    return _stage(image, (0,) * target_zeros)
 
 
 def next_generation(image: MemoryImage) -> int:
@@ -140,20 +142,12 @@ def encode_write(image: MemoryImage, message: int) -> MemoryImage:
             f"(cardinality {params.v[generation - 1]})"
         )
 
-    # A fresh image already holds h_1 zeros, so staging leaves it unchanged.
-    staged = erase_to(image, params.h[generation - 1])
     window = write_window(params.m, params.h, generation)
     if generation == t:
         values = last_write_encode(message, window)
     else:
         values = message_to_payload(message, window)
-    # The zero symbols of the staged image are the window's slots, in order:
-    # each written slot's value goes to the position of its zero.
-    symbols = list(staged.symbols)
-    slots = list(compress(range(len(symbols)), map(not_, symbols)))
-    for slot in compress(range(len(values)), values):
-        symbols[slots[slot]] = values[slot]
-    return MemoryImage(params, symbols)
+    return _stage(image, values)
 
 
 def decode(image: MemoryImage) -> GenerationReading:
@@ -172,7 +166,7 @@ def decode(image: MemoryImage) -> GenerationReading:
     if generation == 1 and t > 1:
         live = image.symbols
     else:
-        live = list(compress(image.symbols, map(ne, image.symbols, repeat(erased))))
+        live = [s for s in image.symbols if s != erased]
     if len(live) != params.h[generation - 1]:
         write = "last write" if generation == t else f"write {generation}"
         raise CorruptStateError(

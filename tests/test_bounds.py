@@ -178,8 +178,6 @@ class TestComparators:
         assert rows["position-modulation"] == pytest.approx(320 / 164)
         rows_t7 = dict(comparator_rates(7, v=2**32))
         assert "cohen" not in rows_t7
-        rows_explicit = dict(comparator_rates(7, r=4, v=2**32))
-        assert rows_explicit["cohen"] == pytest.approx(24 / 15)
 
 
 def test_known_codes_static_data():

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -329,3 +332,40 @@ def test_module_entry_point_propagates_exit_codes(tmp_path):
     assert womcode("write", "--file", session, "3") == 0
     assert womcode("write", "--file", session, "1") == 0
     assert womcode("write", "--file", session, "1") == 4  # write t + 1
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples():
+    """Each `$ womcode ...` line of README's text blocks, with the lines
+    shown under it up to the next blank line or the end of its block."""
+    examples = []
+    text = README.read_text(encoding="utf-8")
+    for block in re.findall(r"```text\n(.*?)```", text, re.S):
+        for example in block.split("\n\n"):
+            command, *shown = example.strip("\n").split("\n")
+            if command.startswith("$ womcode "):
+                examples.append((shlex.split(command[len("$ womcode "):]), shown))
+    return examples
+
+
+def matches_shown(out, shown):
+    """The shown lines are the output, except that each `...` stands for
+    any run of lines."""
+    pattern = "".join(
+        r"(?:.*\n)*?" if line == "..." else re.escape(line) + r"\n" for line in shown
+    )
+    return re.fullmatch(pattern, out) is not None
+
+
+def test_readme_examples_match_real_output(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    examples = readme_examples()
+    assert {argv[0] for argv, _ in examples} == {
+        "plan", "write", "read", "erase-status", "bound", "table", "rates"
+    }
+    for argv, shown in examples:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert matches_shown(out, shown), (argv, shown, out)

@@ -75,6 +75,12 @@ class TestLayout:
         with pytest.raises(DomainError, match="symbol -1 does not fit in 2 wits"):
             symbols_to_bits((0, -1), 2)
 
+    @pytest.mark.parametrize("m", [2, 9])
+    @pytest.mark.parametrize("symbols", [(1.5, 0), (1.0, 0), (1, 1.0)])
+    def test_rejects_non_int_symbol(self, m, symbols):
+        with pytest.raises(DomainError, match="must be ints"):
+            symbols_to_bits(symbols, m)
+
     def test_rejects_ragged_bits(self):
         with pytest.raises(DomainError):
             bits_to_symbols("011", 2)

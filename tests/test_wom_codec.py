@@ -316,6 +316,7 @@ class TestRandomizedLifecycles:
                 states.append(state)
                 assert decode(state) == (generation, message)
             assert_monotone_steps(states)
+            assert all(image.zero_count == image.symbols.count(0) for image in states)
             with pytest.raises(CapacityError):
                 encode_write(state, 0)
 
@@ -334,6 +335,22 @@ def test_image_validation():
         with pytest.raises(DomainError, match=rf"lie in \[0, {params.erased}\]"):
             MemoryImage(params, symbols)
     assert MemoryImage(wide, (511, 0)).symbols == (511, 0)
+
+
+@pytest.mark.parametrize("params", [SMALL, CodeParams(m=9, v=(2,), h=(2,))])
+@pytest.mark.parametrize("symbols", [(1.5, 0), (1.0, 0), (1, 1.0)])
+def test_image_symbols_must_be_ints(params, symbols):
+    with pytest.raises(DomainError, match="must be ints"):
+        MemoryImage(params, symbols)
+
+
+def test_zero_count_is_derived_not_compared():
+    image = img(SMALL, 0, 3)
+    assert image.zero_count == 1
+    twin = MemoryImage(SMALL, [0, 3])
+    object.__setattr__(twin, "zero_count", 2)
+    assert image == twin and hash(image) == hash(twin)
+    assert "zero_count" not in repr(image)
 
 
 def loop_erase_to(image, target_zeros):
@@ -369,7 +386,9 @@ class TestAgainstSymbolLoops:
             state = fresh_image(params)
             for generation in range(1, t + 1):
                 target = params.h[generation - 1]
-                assert erase_to(state, target).symbols == loop_erase_to(state, target)
+                erased = erase_to(state, target)
+                assert erased.symbols == loop_erase_to(state, target)
+                assert erased.zero_count == erased.symbols.count(0) == target
                 for short in range(target + 1, target + 3):
                     if short > state.zero_count:
                         with pytest.raises(CapacityError, match=f"need {short}$"):
@@ -384,4 +403,5 @@ class TestAgainstSymbolLoops:
                 staged = loop_erase_to(state, target)
                 state = encode_write(state, message)
                 assert state.symbols == loop_fill(staged, values)
+                assert state.zero_count == state.symbols.count(0)
                 assert decode(state) == (generation, message)
