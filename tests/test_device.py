@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import spec
 from womcode.device import (
     WitArray,
     bits_to_symbols,
@@ -18,39 +19,6 @@ from womcode.planner import CodeParams, plan
 from womcode.wom_codec import MemoryImage, encode_write, fresh_image
 
 SMALL = plan(2, [7, 2])
-
-
-# The list-based layout that held one Python int per wit, kept as the
-# reference the string and single-int forms must agree with.
-def oracle_symbols_to_bits(symbols, m):
-    bits = []
-    for s in symbols:
-        if not 0 <= s < 2**m:
-            raise DomainError(f"symbol {s} does not fit in {m} wits")
-        bits.extend((s >> shift) & 1 for shift in range(m - 1, -1, -1))
-    return bits
-
-
-def oracle_bits_to_symbols(bits, m):
-    bits = list(bits)
-    if len(bits) % m:
-        raise DomainError(f"{len(bits)} wits do not form whole {m}-wit symbols")
-    out = []
-    for j in range(0, len(bits), m):
-        value = 0
-        for b in bits[j : j + m]:
-            value = (value << 1) | b
-        out.append(value)
-    return out
-
-
-def oracle_apply_image(bits, image):
-    """The wit list after applying `image` to `bits`, or WriteOnceViolation."""
-    target = oracle_symbols_to_bits(image.symbols, image.params.m)
-    cleared = [i for i, (cur, new) in enumerate(zip(bits, target)) if cur > new]
-    if cleared:
-        raise WriteOnceViolation(f"image would clear programmed wits at {cleared}")
-    return target
 
 
 def wit_string(bits):
@@ -97,10 +65,10 @@ class TestLayout:
         for m in (2, 3, 4, 5, 8, 9, 16):
             for _ in range(40):
                 symbols = [rng.randrange(2**m) for _ in range(rng.randrange(60))]
-                bits = oracle_symbols_to_bits(symbols, m)
+                bits = spec.wits(symbols, m)
                 assert symbols_to_bits(symbols, m) == wit_string(bits)
                 assert bits_to_symbols(wit_string(bits), m) == symbols
-                assert oracle_bits_to_symbols(bits, m) == symbols
+                assert spec.symbols(bits, m) == symbols
 
 
 class TestWitArray:
@@ -195,7 +163,7 @@ class TestWitArray:
                 params = CodeParams(m=m, v=(2,), h=(h1,))
                 current = [rng.randrange(2) for _ in range(params.n)]
                 if case % 2:
-                    # Only sets wits: the oracle accepts it.
+                    # Only sets wits: the spec accepts it.
                     target = [c | (rng.random() < 0.3) for c in current]
                 else:
                     # Mostly sets wits, and clears a few now and then.
@@ -203,12 +171,12 @@ class TestWitArray:
                         c ^ 1 if rng.random() < 0.02 else c | (rng.random() < 0.3)
                         for c in current
                     ]
-                image = MemoryImage(params, tuple(oracle_bits_to_symbols(target, m)))
+                image = MemoryImage(params, tuple(spec.symbols(target, m)))
                 arr = WitArray(params.n, wit_string(current))
                 before = arr.word
                 try:
-                    expected = oracle_apply_image(current, image)
-                except WriteOnceViolation as exc:
+                    expected = spec.program(current, spec.wits(image.symbols, m))
+                except spec.WriteOnceViolation as exc:
                     with pytest.raises(WriteOnceViolation) as got:
                         arr.apply_image(image)
                     assert str(got.value) == str(exc)

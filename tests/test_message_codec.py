@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
-import math
 import random
 
 import pytest
 
+import spec
 from womcode import combinadic
 from womcode.errors import CorruptStateError, DomainError
 from womcode.planner import M_LIMIT, write_window
@@ -25,42 +24,6 @@ from womcode.message_codec import (
 )
 
 
-def enumerate_payloads(window: WriteWindow):
-    """Independent oracle: list every payload, as its h slot values, in the
-    documented order.
-
-    Blocks by written-symbol count k ascending; within a block, masks in
-    rank order; within a mask, digit strings counted base-q with the
-    leftmost written slot as the most significant digit, values 1..q.
-    """
-    for k in range(window.kmin, window.kmax + 1):
-        for ones in sorted(
-            itertools.combinations(range(window.h), k),
-            key=lambda pos: sum(2 ** (window.h - 1 - p) for p in pos),
-        ):
-            for digits in itertools.product(range(1, window.q + 1), repeat=k):
-                values = [0] * window.h
-                for pos, d in zip(ones, digits):
-                    values[pos] = d
-                yield tuple(values)
-
-
-def loop_digits(x: int, base: int, length: int) -> list[int]:
-    """Reference: one divmod of what is left of x per digit."""
-    digits = [0] * length
-    for pos in range(length - 1, -1, -1):
-        x, digits[pos] = divmod(x, base)
-    return digits
-
-
-def loop_number(digits, base: int) -> int:
-    """Reference: one multiply-add per digit."""
-    x = 0
-    for d in digits:
-        x = x * base + d
-    return x
-
-
 class TestDigits:
     def test_match_loops_on_seeded_inputs(self):
         rng = random.Random(3141)
@@ -69,9 +32,9 @@ class TestDigits:
             length = rng.choice((0, 1, 2, 31, 32, 33, 63, 64, 65, rng.randrange(700)))
             x = rng.randrange(base**length)
             digits = _digits(x, base, length)
-            assert digits == loop_digits(x, base, length), (base, length)
+            assert digits == spec.digits(x, base, length), (base, length)
             assert _number(digits, base) == x
-            assert _number(iter(digits), base) == loop_number(digits, base)
+            assert _number(iter(digits), base) == spec.number(digits, base)
 
     def test_base_3_beyond_the_str_digit_limit(self):
         # The last write of a 2^8191 code at m = 2 has about 5168 base-3
@@ -81,7 +44,7 @@ class TestDigits:
         for length in (4301, 5168, 6000):
             x = rng.randrange(3**length)
             digits = _digits(x, 3, length)
-            assert digits == loop_digits(x, 3, length)
+            assert digits == spec.digits(x, 3, length)
             assert _number(digits, 3) == x
         window = write_window(2, (5168,), 1)
         message = rng.randrange(3**5168 - 1)
@@ -96,9 +59,7 @@ class TestWindowCapacity:
 
     def test_matches_sum(self):
         w = WriteWindow(h=6, q=3, kmin=1, kmax=4)
-        assert window_capacity(w) == sum(
-            math.comb(6, k) * 3**k for k in range(1, 5)
-        )
+        assert window_capacity(w) == spec.capacity((6, 3, 1, 4))
 
     def test_block_walk_matches_comb_sum_on_random_windows(self):
         rng = random.Random(20261017)
@@ -114,7 +75,7 @@ class TestWindowCapacity:
             else:
                 kmax = min(h, kmin + rng.randrange(33))
             w = WriteWindow(h=h, q=q, kmin=kmin, kmax=kmax)
-            expected = [(k, math.comb(h, k) * q**k) for k in range(kmin, kmax + 1)]
+            expected = [(k, spec.capacity((h, q, k, k))) for k in range(kmin, kmax + 1)]
             assert list(_blocks(w)) == expected
             capacity = sum(block for _, block in expected)
             assert window_capacity(w) == capacity
@@ -175,11 +136,14 @@ class TestCanonicalEnumeration:
             (6, 2, 1, 2),
         ]:
             w = WriteWindow(h=h, q=q, kmin=kmin, kmax=kmax)
-            expected = list(enumerate_payloads(w))
+            expected = list(spec.payloads((h, q, kmin, kmax)))
             assert len(expected) == window_capacity(w)
             for message, payload in enumerate(expected):
                 assert message_to_payload(message, w) == payload
                 assert payload_to_message(payload, w) == message
+                # The spec's arithmetic form keeps the order it enumerates.
+                assert spec.payload(message, (h, q, kmin, kmax)) == payload
+                assert spec.message(payload, (h, q, kmin, kmax)) == message
 
     def test_exhaustive_roundtrip_small_windows(self):
         for h in range(1, 7):

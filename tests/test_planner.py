@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import spec
 from womcode.errors import DomainError
 from womcode.message_codec import WriteWindow, window_capacity
 from womcode.planner import (
@@ -21,39 +22,34 @@ from womcode.planner import (
 V56 = 2**56
 
 
-def capacity(m: int, h, g: int) -> int:
-    """Capacity of write g of a code with window sizes h."""
-    return window_capacity(write_window(m, h, g))
-
-
 class TestCapacities:
     # A middle write g = 2 needs some h_1 above it; its value does not matter.
 
     def test_first_small(self):
-        assert capacity(2, (2, 1), 1) == 7  # 1 + C(2,1)*3
-        assert capacity(2, (1, 0), 1) == 4  # 1 + 3
+        assert window_capacity(write_window(2, (2, 1), 1)) == 7  # 1 + C(2,1)*3
+        assert window_capacity(write_window(2, (1, 0), 1)) == 4  # 1 + 3
 
     def test_first_covers_56_bits(self):
-        assert capacity(2, (49, 36), 1) >= V56
-        assert capacity(2, (48, 36), 1) < V56  # 49 is minimal
+        assert window_capacity(write_window(2, (49, 36), 1)) >= V56
+        assert window_capacity(write_window(2, (48, 36), 1)) < V56  # 49 is minimal
 
     def test_middle_small(self):
-        assert capacity(2, (3, 2, 1), 2) == 4  # C(2,1)*2
+        assert window_capacity(write_window(2, (3, 2, 1), 2)) == 4  # C(2,1)*2
         for h in range(2, 30):
-            assert capacity(2, (h + 1, h, h - 1), 2) == 2 * h
+            assert window_capacity(write_window(2, (h + 1, h, h - 1), 2)) == 2 * h
 
     def test_middle_covers_56_bits(self):
-        assert capacity(2, (52, 51, 36), 2) >= V56
-        assert capacity(2, (51, 50, 36), 2) < V56
+        assert window_capacity(write_window(2, (52, 51, 36), 2)) >= V56
+        assert window_capacity(write_window(2, (51, 50, 36), 2)) < V56
 
     def test_last(self):
-        assert capacity(2, (1,), 1) == 2
-        assert capacity(2, (36,), 1) == 3**36 - 1
-        assert capacity(2, (36,), 1) >= V56
-        assert capacity(2, (35,), 1) < V56
-        assert capacity(3, (20,), 1) == 7**20 - 1 >= V56
+        assert window_capacity(write_window(2, (1,), 1)) == 2
+        assert window_capacity(write_window(2, (36,), 1)) == 3**36 - 1
+        assert window_capacity(write_window(2, (36,), 1)) >= V56
+        assert window_capacity(write_window(2, (35,), 1)) < V56
+        assert window_capacity(write_window(3, (20,), 1)) == 7**20 - 1 >= V56
         # The last window of a longer code is the same window.
-        assert capacity(2, (49, 36), 2) == 3**36 - 1
+        assert window_capacity(write_window(2, (49, 36), 2)) == 3**36 - 1
 
     def test_windows(self):
         h = (139, 130, 36)
@@ -95,27 +91,16 @@ class TestPlan:
         assert plan(2, [3**5 - 1]).h == (5,)
 
     def test_exhaustive_minimal_search_oracle(self):
-        # Independent oracle for two writes: scan (h1, h2) pairs outright.
         for v1 in range(2, 40):
             for v2 in range(2, 40):
-                h2 = 1
-                while capacity(2, (h2,), 1) < v2:
-                    h2 += 1
-                h1 = h2 + 1
-                while capacity(2, (h1, h2), 1) < v1:
-                    h1 += 1
-                assert plan(2, [v1, v2]).h == (h1, h2)
+                assert plan(2, [v1, v2]).h == spec.plan(2, [v1, v2])
 
     def test_greedy_steps_are_minimal(self):
-        params = plan(2, [V56] * 10)
-        h, m = params.h, params.m
-        assert capacity(m, (h[-1],), 1) >= V56 > capacity(m, (h[-1] - 1,), 1)
-        for i in range(1, len(h) - 1):
-            assert capacity(m, h, i + 1) >= V56
-            shrunk = h[:i] + (h[i] - 1,) + h[i + 1 :]
-            assert capacity(m, shrunk, i + 1) < V56
-        assert capacity(m, h, 1) >= V56
-        assert capacity(m, (h[0] - 1,) + h[1:], 1) < V56
+        h = plan(2, [V56] * 10).h
+        for g in range(1, len(h) + 1):
+            shrunk = h[: g - 1] + (h[g - 1] - 1,) + h[g:]
+            assert spec.capacity(spec.window(2, h, g)) >= V56
+            assert spec.capacity(spec.window(2, shrunk, g)) < V56
 
     def test_nondecreasing_increments_for_equal_cardinalities(self):
         rng = random.Random(7)
@@ -207,30 +192,6 @@ class TestValidate:
     def test_matches_exact_capacity_oracle(self):
         # validate stops summing once v_g is covered; its result must be the
         # one found from each window's exact capacity, texts included.
-        def oracle(params):
-            m, v, h, t = params.m, params.v, params.h, params.t
-            out = [
-                ConditionViolation(
-                    "window-order", f"h_{i + 1}={h[i]} not greater than h_{i + 2}={h[i + 1]}"
-                )
-                for i in range(t - 1)
-                if h[i] <= h[i + 1]
-            ]
-            if h[-1] < 1:
-                out.append(ConditionViolation("window-order", f"h_{t}={h[-1]} not positive"))
-            for g in range(1, t + 1):
-                if not h[g - 1] > (h[g] if g < t else 0) >= 0:
-                    continue
-                cap = capacity(m, h, g)
-                if cap < v[g - 1]:
-                    kind = "last" if g == t else "first" if g == 1 else "middle"
-                    out.append(
-                        ConditionViolation(
-                            f"{kind}-write-capacity", f"capacity {cap} below v_{g}={v[g - 1]}"
-                        )
-                    )
-            return out
-
         rng = random.Random(4711)
         for case in range(400):
             m = rng.choice([2, 3])
@@ -241,8 +202,8 @@ class TestValidate:
                 # Nudge windows so some capacities fall short, some barely
                 # cover, and some pairs break the order.
                 h = [x + rng.choice((-2, -1, -1, 0, 0, 0, 1)) for x in h]
-            params = CodeParams(m=m, v=tuple(v), h=tuple(h))
-            assert validate(params) == oracle(params)
+            report = validate(CodeParams(m=m, v=tuple(v), h=tuple(h)))
+            assert [(x.condition, x.detail) for x in report] == spec.violations(m, v, h)
 
 
 def test_params_properties():

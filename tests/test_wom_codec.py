@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
+import spec
 from womcode.errors import CapacityError, CorruptStateError, DomainError
-from womcode.message_codec import last_write_encode, message_to_payload
-from womcode.planner import CodeParams, plan, write_window
+from womcode.planner import CodeParams, plan
 from womcode.wom_codec import (
     MemoryImage,
     decode,
@@ -69,11 +70,23 @@ class TestEraseTo:
     def test_raises_when_short_of_zeros(self):
         with pytest.raises(CapacityError):
             erase_to(img(SMALL, 1, 3), 2)
+        with pytest.raises(DomainError, match="nonnegative, got -1$"):
+            erase_to(fresh_image(SMALL), -1)
 
     def test_never_decreases_symbols_to_nonerased(self):
         state = img(SMALL, 1, 0)
         out = erase_to(state, 1)
         assert out.symbols == (3, 0)
+
+    def test_target_checked_before_anything_is_built(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="only 2 zero symbols left, need 1000000$"):
+                erase_to(fresh_image(SMALL), 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestSmallCodeChain:
@@ -188,19 +201,6 @@ class TestDecodeRejectsCorruptImages:
             decode(img(params, 3, 3, 2, 0))
 
 
-def wit_bits(image):
-    out = []
-    for s in image.symbols:
-        out.extend((s >> shift) & 1 for shift in range(image.params.m - 1, -1, -1))
-    return out
-
-
-def assert_monotone_steps(states):
-    for before, after in zip(states, states[1:]):
-        for old_bit, new_bit in zip(wit_bits(before), wit_bits(after)):
-            assert new_bit >= old_bit, "a wit would have to flip back to 0"
-
-
 class TestExhaustiveSmallCodes:
     @pytest.mark.parametrize(
         "m,v",
@@ -221,12 +221,11 @@ class TestExhaustiveSmallCodes:
         ranges = [range(1, v[0])] + [range(vi) for vi in v[1:]]
         for sequence in itertools.product(*ranges):
             state = fresh_image(params)
-            states = [state]
+            wits = spec.wits(state.symbols, m)
             for generation, message in enumerate(sequence, start=1):
                 state = encode_write(state, message)
-                states.append(state)
+                wits = spec.program(wits, spec.wits(state.symbols, m))
                 assert decode(state) == (generation, message)
-            assert_monotone_steps(states)
 
     def test_zero_count_trajectory(self):
         params = plan(2, [5, 4, 2])
@@ -252,31 +251,10 @@ class TestExhaustiveSmallCodes:
         assert len(seen) == 4
 
 
-def reachable_images(params):
-    """Every image some legal write sequence leaves, mapped to its last write."""
-    last = {}
-    frontier = [fresh_image(params)]
-    while frontier:
-        image = frontier.pop()
-        fresh = all(s == 0 for s in image.symbols)
-        generation = 1 if fresh else detect_generation(image) + 1
-        if generation > params.t:
-            continue
-        for message in range(params.v[generation - 1]):
-            written = encode_write(image, message)
-            assert last.setdefault(written.symbols, (generation, message)) == (
-                generation,
-                message,
-            ), "one image left by two different writes"
-            if written.symbols != image.symbols:
-                frontier.append(written)
-    return last
-
-
 class TestDecoderContract:
-    """decode is total over symbol images: it returns a reading or raises
-    CorruptStateError, and every image a legal write leaves reads back as
-    that write."""
+    """decode is total over symbol images: it returns the spec's reading or
+    raises CorruptStateError where the spec does, and every image a legal
+    write leaves reads back as that write."""
 
     @pytest.mark.parametrize(
         "m,v",
@@ -285,19 +263,12 @@ class TestDecoderContract:
     def test_every_image_decodes_or_is_corrupt(self, m, v):
         params = plan(m, v)
         assert params.n <= 12
-        last = reachable_images(params)
+        last = spec.reachable(m, v, params.h)
         assert (0,) * params.h[0] in last  # the free first write of message 0
-        readable = 0
         for symbols in itertools.product(range(params.erased + 1), repeat=params.h[0]):
-            try:
-                reading = decode(img(params, *symbols))
-            except CorruptStateError:
-                assert symbols not in last, symbols
-                continue
-            readable += 1
-            if symbols in last:
-                assert reading == last[symbols], symbols
-        assert readable >= len(last)
+            reading = spec.outcome(decode, img(params, *symbols))
+            assert reading == spec.outcome(spec.read, symbols, m, params.h, v), symbols
+            assert reading == last.get(symbols, reading), symbols
 
 
 class TestRandomizedLifecycles:
@@ -309,14 +280,13 @@ class TestRandomizedLifecycles:
             v = [rng.randrange(2, 2**16) for _ in range(t)]
             params = plan(m, v)
             state = fresh_image(params)
-            states = [state]
+            wits = spec.wits(state.symbols, m)
             for generation, vi in enumerate(v, start=1):
                 message = rng.randrange(1, vi) if generation == 1 else rng.randrange(vi)
                 state = encode_write(state, message)
-                states.append(state)
+                wits = spec.program(wits, spec.wits(state.symbols, m))
+                assert state.zero_count == state.symbols.count(0)
                 assert decode(state) == (generation, message)
-            assert_monotone_steps(states)
-            assert all(image.zero_count == image.symbols.count(0) for image in states)
             with pytest.raises(CapacityError):
                 encode_write(state, 0)
 
@@ -353,29 +323,6 @@ def test_zero_count_is_derived_not_compared():
     assert "zero_count" not in repr(image)
 
 
-def loop_erase_to(image, target_zeros):
-    """Reference: erase every nonzero symbol, then surplus zeros from the
-    right, one symbol at a time."""
-    erased = image.params.erased
-    symbols = [erased if s != 0 else 0 for s in image.symbols]
-    excess = symbols.count(0) - target_zeros
-    if excess < 0:
-        raise CapacityError(f"only {symbols.count(0)} zero symbols left, need {target_zeros}")
-    for i in range(len(symbols) - 1, -1, -1):
-        if excess == 0:
-            break
-        if symbols[i] == 0:
-            symbols[i] = erased
-            excess -= 1
-    return tuple(symbols)
-
-
-def loop_fill(staged, values):
-    """Reference: each zero of the staged symbols takes the next slot value."""
-    fill = iter(values)
-    return tuple(next(fill) if s == 0 else s for s in staged)
-
-
 class TestAgainstSymbolLoops:
     @pytest.mark.parametrize("m", [2, 3, 4, 8, 9])
     def test_seeded_writes_on_random_codes(self, m):
@@ -387,21 +334,15 @@ class TestAgainstSymbolLoops:
             for generation in range(1, t + 1):
                 target = params.h[generation - 1]
                 erased = erase_to(state, target)
-                assert erased.symbols == loop_erase_to(state, target)
+                assert erased.symbols == tuple(spec.erase(state.symbols, m, target))
                 assert erased.zero_count == erased.symbols.count(0) == target
                 for short in range(target + 1, target + 3):
                     if short > state.zero_count:
                         with pytest.raises(CapacityError, match=f"need {short}$"):
                             erase_to(state, short)
                 message = rng.randrange(1 if generation == 1 else 0, params.v[generation - 1])
-                window = write_window(m, params.h, generation)
-                values = (
-                    last_write_encode(message, window)
-                    if generation == t
-                    else message_to_payload(message, window)
-                )
-                staged = loop_erase_to(state, target)
+                expected = spec.write(state.symbols, m, params.h, params.v, message)
                 state = encode_write(state, message)
-                assert state.symbols == loop_fill(staged, values)
+                assert state.symbols == tuple(expected)
                 assert state.zero_count == state.symbols.count(0)
                 assert decode(state) == (generation, message)
