@@ -96,25 +96,33 @@ def violations(m: int, v, h) -> list[tuple[str, str]]:
 
 def rank(bits) -> int:
     """The lexical index among vectors of equal length and weight: a one at
-    label i (n - 1 leftmost) with j ones from it to the right adds C(i, j)."""
+    label i (n - 1 leftmost) with j ones from it to the right adds C(i, j).
+    C(i, j) is carried from label to label: down one label it is multiplied
+    by (i - j)/i, past a one by j/i.  A one at label 0 adds C(0, 1) = 0."""
     n, j, r = len(bits), sum(bits), 0
-    for pos, b in enumerate(bits):
+    c = comb(n - 1, j) if n else 0
+    for i, b in zip(range(n - 1, 0, -1), bits):
         if b:
-            r += comb(n - 1 - pos, j)
-            j -= 1
+            r, c, j = r + c, c * j // i, j - 1
+        else:
+            c = c * (i - j) // i
     return r
 
 
 def unrank(index: int, n: int, k: int) -> list[int]:
     """The weight-k vector of that index: label i takes a one when C(i, j),
-    j the ones still to place, does not exceed what is left of the index."""
-    bits, r, j = [], index, k
-    for i in range(n - 1, -1, -1):
-        bit = j > 0 and comb(i, j) <= r
-        if bit:
-            r -= comb(i, j)
-            j -= 1
-        bits.append(int(bit))
+    j the ones left to place, is at most the index left (C as in rank)."""
+    bits, r, j = [0] * n, index, k
+    c = comb(n - 1, k) if n else 0
+    for i in range(n - 1, 0, -1):
+        if j == 0:
+            return bits
+        if c <= r:
+            bits[n - 1 - i], r, c, j = 1, r - c, c * j // i, j - 1
+        else:
+            c = c * (i - j) // i
+    if n:
+        bits[-1] = j  # label 0 takes the last one left: C(0, 1) = 0 <= r
     return bits
 
 

@@ -99,11 +99,8 @@ def test_kernels_agree_with_oracles_on_large_inputs():
         index = spec.rank(u)
         assert combinadic.rank(u) == index
         assert combinadic.unrank(index, n, k) == u
-        # The spec's unrank takes a binomial per position, so it runs on
-        # every tenth case only, at a random index and at the last one.
-        if case % 10 == 0:
-            for x in (rng.randrange(math.comb(n, k)), math.comb(n, k) - 1):
-                assert combinadic.unrank(x, n, k) == spec.unrank(x, n, k)
+        for x in (rng.randrange(math.comb(n, k)), math.comb(n, k) - 1):
+            assert combinadic.unrank(x, n, k) == spec.unrank(x, n, k)
 
 
 def test_kernels_agree_with_scans_exhaustively():
@@ -120,17 +117,12 @@ def test_kernels_agree_with_scans_on_seeded_vectors():
     for case in range(60):
         n = rng.randrange(1, 4001) if case % 4 else rng.randrange(1, 40)
         for k in sorted({1, 2, n // 2, n - 1, n} - {0}):
-            # The spec takes a binomial as wide as n per one: at k = n/2 that
-            # is 0.46 s a vector at n = 4000, so past n = 1000 only round trips.
-            oracle = spec.rank if min(k, n - k) <= 2 or n <= 1000 else combinadic.rank
             for bits in shaped_vectors(rng, n, k):
-                index = oracle(bits)
+                index = spec.rank(bits)
                 assert combinadic.rank(bits) == combinadic.rank(bytes(bits)) == index
                 assert combinadic.unrank(index, n, k) == bits
-                # unrank at a few more indices: the ends, and one at random.
                 for x in (0, math.comb(n, k) - 1, rng.randrange(math.comb(n, k))):
-                    u = combinadic.unrank(x, n, k)
-                    assert (len(u), sum(u), oracle(u)) == (n, k, x)
+                    assert combinadic.unrank(x, n, k) == spec.unrank(x, n, k)
 
 
 def test_sparse_vectors_cross_long_runs():
@@ -142,9 +134,9 @@ def test_sparse_vectors_cross_long_runs():
         k = rng.randrange(1, 40)
         total = math.comb(n, k)
         for index in (0, 1, total // 2, total - 2, total - 1, rng.randrange(total)):
-            bits = combinadic.unrank(index, n, k)
-            assert len(bits) == n and sum(bits) == k
-            assert spec.rank(bits) == combinadic.rank(bits) == index
+            bits = spec.unrank(index, n, k)
+            assert combinadic.unrank(index, n, k) == bits
+            assert combinadic.rank(bits) == spec.rank(bits) == index
 
 
 def test_empty_vector():
