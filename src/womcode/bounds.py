@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError
-from .planner import CodeParams, least_growth, plan
+from .planner import CodeParams, _check_cardinalities, least_growth, plan
 
 
 def delta(v: int, m: int) -> int:
@@ -38,15 +38,11 @@ def z_bound(v_list: Sequence[int]) -> int:
     """Lower bound on the wits any t-write code needs for cardinalities v_list.
 
     Accumulates `delta` from the final write (which starts from nothing)
-    back to the first: Z_0 = 0, Z_i = Z_{i-1} + delta(v, Z_{i-1}).
+    back to the first: Z_0 = 0, Z_i = Z_{i-1} + delta(v, Z_{i-1}).  The
+    cardinalities are checked as the planner checks them.
     """
-    v_list = list(v_list)
-    if not v_list:
-        raise DomainError("need at least one write cardinality")
-    if any(v < 2 for v in v_list):
-        raise DomainError("every write cardinality must be >= 2")
     z = 0
-    for v in reversed(v_list):
+    for v in reversed(_check_cardinalities(v_list)):
         z += delta(v, z)
     return z
 
@@ -132,12 +128,12 @@ def cohen_order_for(t: int) -> int | None:
     return None
 
 
-def position_modulation_rate(t: int, v: int, m: int = 2) -> float:
-    """Rate achieved by planning t writes of v messages with m-wit symbols."""
-    return rate(plan(m, [v] * t))
+def position_modulation_rate(t: int, v: int) -> float:
+    """Rate achieved by planning t writes of v messages with 2-wit symbols."""
+    return rate(plan(2, [v] * t))
 
 
-def comparator_rates(t: int, v: int = 2**32, m: int = 2) -> list[tuple[str, float]]:
+def comparator_rates(t: int, v: int = 2**32) -> list[tuple[str, float]]:
     """Rates of this scheme and the classic ones at write count t.
 
     Rows are (scheme-name, bits-per-wit).  The coset scheme's order r is
@@ -146,7 +142,7 @@ def comparator_rates(t: int, v: int = 2**32, m: int = 2) -> list[tuple[str, floa
     scheme needs t >= 2.
     """
     rows = [
-        ("position-modulation", position_modulation_rate(t, v, m)),
+        ("position-modulation", position_modulation_rate(t, v)),
         ("fiat-shamir", fiat_shamir_rate(t)),
     ]
     if t >= 2:

@@ -212,16 +212,16 @@ def last_write_encode(message: int, window: WriteWindow) -> list[int]:
     """Spread a last-write message over the last window's h symbols as
     base-(q + 1) digits, q + 1 = 2^m - 1.
 
-    The message range is [0, (q + 1)^h - 2]; the stored word is M + 1 so
+    The message range is [0, window_capacity) = [0, (q + 1)^h - 2] for the
+    last window (kmin = 1, kmax = h); the stored word is M + 1 so
     the all-zero word (which would read as an earlier generation) is never
     emitted, and no digit can equal the erased value q + 1.
     """
-    base, ht = window.q + 1, window.h
-    if not 0 <= message <= base**ht - 2:
+    if not 0 <= message < window_capacity(window):
         raise DomainError(
-            f"message {message} out of range for last write over {ht} symbols"
+            f"message {message} out of range for last write over {window.h} symbols"
         )
-    return _digits(message + 1, base, ht)
+    return _digits(message + 1, window.q + 1, window.h)
 
 
 def last_write_decode(digits: Sequence[int], window: WriteWindow) -> int:

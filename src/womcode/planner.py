@@ -5,38 +5,36 @@ cardinalities v_1..v_t for the t successive writes, and window sizes
 h_1 > h_2 > ... > h_t.  The code uses n = m * h_1 wits.
 
 Write g is one window (:func:`write_window`): h_g zero symbols, values from
-{1, ..., q} for each written slot, and a range kmin..kmax for how many
-slots it writes.  Its capacity is sum_{k=kmin}^{kmax} C(h_g, k) * q^k:
+{1, ..., q} for each written slot, and k in kmin..h_g - h_(g+1) written
+slots, the chain closed by h_(t+1) = 0.  Its capacity is
+sum_{k=kmin}^{kmax} C(h_g, k) * q^k.  The first of several writes may use
+the erased value and write nothing (q = 2^m - 1, kmin = 0); no other write
+may (q = 2^m - 2, kmin = 1), since its zero count must drop below h_g.  So
+the last window holds (2^m - 1)^h_t - 1 payloads: every word over
+{0, ..., 2^m - 2} except all-zero, the words the last write stores.  A
+parameter set is feasible when each write's capacity reaches v_g.
 
-  first write   h_1, q = 2^m - 1, k in 0..h_1 - h_2
-  middle write  h_g, q = 2^m - 2, k in 1..h_g - h_(g+1)  (the zero count
-                must drop below h_g, so the empty write is not available)
-  last write    h_t, q = 2^m - 2, k in 1..h_t, whose capacity is
-                (2^m - 1)^h_t - 1: every word over {0, ..., 2^m - 2}
-                except all-zero, the words the last write stores
-
-A parameter set is feasible when each write's capacity reaches v_g.
-
-:func:`plan` chooses the h-sequence bottom-up: the smallest feasible h_t,
-then each h_i as the smallest value above h_{i+1} whose window capacity
-reaches v_i.  The first and middle sums are
-W(N, d) = sum_{k=0}^{d} C(N, k) * q^k taken at N = h_next + d for growth d
-(the middle write drops the k = 0 term, 1).  Pascal's rule
-C(N+1, k) = C(N, k) + C(N, k-1) gives
+:func:`plan` chooses the h-sequence bottom-up from h_(t+1) = 0: each h_g
+is the smallest value above h_(g+1) whose window capacity reaches v_g.
+The sums are W(N, d) = sum_{k=0}^{d} C(N, k) * q^k taken at
+N = h_(g+1) + d for growth d (a kmin = 1 window drops the k = 0 term, 1).
+Pascal's rule C(N+1, k) = C(N, k) + C(N, k-1) gives
 
   W(N+1, d+1) = (1 + q) * W(N, d) + C(N, d+1) * q^(d+1)
 
-so one walk from (h_next, 0), :func:`least_growth`, yields the capacity of
-every growth in turn at a few small-by-big multiplications per step.  Each
-step multiplies W by at least 1 + q >= 2, so the walk that finds the least
-covering growth ends within log2(v) + 1 steps.  The last window is found
-with a running power of 2^m - 1.  At q = 1 the same walk is the wit bound's
-step, :func:`womcode.bounds.delta`.
+so one walk from (h_(g+1), 0), :func:`least_growth`, yields the capacity
+of every growth in turn at a few small-by-big multiplications per step.
+Each step multiplies W by at least 1 + q >= 2, so the walk that finds the
+least covering growth ends within log2(v) + 1 steps.  At h_(g+1) = 0 the
+binomial term C(0, d+1) vanishes and the walk is the running power
+(1 + q)^d, the last window's word count.  At q = 1 the same walk is the
+wit bound's step, :func:`womcode.bounds.delta`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Sequence
 
 from .errors import DomainError
@@ -60,13 +58,19 @@ def _check_m(m: int) -> None:
         raise DomainError(f"m must be at most {M_LIMIT}, got {m}")
 
 
-def _check_cardinalities(v: Sequence[int]) -> None:
-    """Reject an empty list, or any cardinality below 2 or at the limit."""
+def _check_cardinalities(v: Sequence[int]) -> tuple[int, ...]:
+    """v as a tuple of ints.  Reject an empty list, a value that is not an
+    int, or any cardinality below 2 or at the limit."""
+    try:
+        v = tuple(map(index, v))
+    except TypeError as exc:
+        raise DomainError(f"message cardinalities must be ints: {exc}") from None
     if len(v) < 1:
         raise DomainError("at least one write is required")
     if any(vi < 2 for vi in v):
         raise DomainError("every message cardinality must be at least 2")
     check_cardinality_bits(max(v).bit_length())
+    return v
 
 
 def check_cardinality_bits(bits: int) -> None:
@@ -89,9 +93,8 @@ class CodeParams:
 
     def __post_init__(self):
         _check_m(self.m)
-        object.__setattr__(self, "v", tuple(self.v))
+        object.__setattr__(self, "v", _check_cardinalities(self.v))
         object.__setattr__(self, "h", tuple(self.h))
-        _check_cardinalities(self.v)
         if len(self.v) != len(self.h):
             raise DomainError(
                 f"v and h must have equal length, got {len(self.v)} and {len(self.h)}"
@@ -136,54 +139,52 @@ def least_growth(hnext: int, q: int, need: int) -> int:
     return d
 
 
+def _alphabet(m: int, g: int, t: int) -> tuple[int, int]:
+    """(q, kmin) of write g of t: the first of several writes may use the
+    erased value 2^m - 1 and write nothing, no other write may."""
+    if g == 1 < t:
+        return 2**m - 1, 0
+    return 2**m - 2, 1
+
+
 def write_window(m: int, h: Sequence[int], g: int) -> WriteWindow:
     """The window of write g (1-based) of a code with symbols of m wits and
-    window sizes h: the first, a middle or the last write's window."""
+    window sizes h: h_g slots, of which it writes kmin..h_g - h_(g+1), with
+    h_(t+1) = 0."""
     t = len(h)
     _check_m(m)
     if not 1 <= g <= t:
         raise DomainError(f"write {g} is not one of the {t} writes")
     hg = h[g - 1]
-    if g == t:
-        if hg < 1:
-            raise DomainError(f"last window must be positive, got {hg}")
-        return WriteWindow(h=hg, q=2**m - 2, kmin=1, kmax=hg)
-    if hg <= h[g]:
-        raise DomainError(f"write {g} needs h_{g} > h_{g + 1}, got {hg} <= {h[g]}")
-    if g == 1:
-        return WriteWindow(h=hg, q=2**m - 1, kmin=0, kmax=hg - h[g])
-    return WriteWindow(h=hg, q=2**m - 2, kmin=1, kmax=hg - h[g])
+    hnext = h[g] if g < t else 0
+    if hg <= hnext:
+        raise DomainError(f"write {g} needs h_{g} > h_{g + 1}, got {hg} <= {hnext}")
+    q, kmin = _alphabet(m, g, t)
+    return WriteWindow(h=hg, q=q, kmin=kmin, kmax=hg - hnext)
 
 
 def plan(m: int, v: Sequence[int]) -> CodeParams:
     """Choose the minimal window sizes h_1 > ... > h_t for cardinalities v.
 
-    Works in reverse write order: h_t is the smallest window whose last-write
-    capacity covers v_t (found by exact integer search, not floating-point
-    logarithms), then each earlier window is the previous one plus the
-    smallest growth whose capacity covers that write's cardinality.
+    Works in reverse write order from h_(t+1) = 0: each window is the next
+    one plus the smallest growth whose capacity covers that write's
+    cardinality, found by exact integer search, not floating-point
+    logarithms.
     """
-    v = tuple(v)
-    _check_cardinalities(v)
+    v = _check_cardinalities(v)
     _check_m(m)
+    t = len(v)
 
-    q = 2**m - 1
-    ht, power = 1, q
-    while power - 1 < v[-1]:
-        ht += 1
-        power *= q
-    hs = [ht]
+    # Growth 0 covers nothing (a kmin = 0 sum is the single empty-mask term,
+    # 1, and a kmin = 1 sum is empty), so every growth found is at least 1
+    # and the ordering h_g > h_(g+1) holds by construction.  A kmin = 1
+    # window needs W >= v_g + 1 because its sum lacks the k = 0 term.
+    h = [0] * (t + 1)  # h[g - 1] is h_g, so h[t] is h_(t+1) = 0
+    for g in range(t, 0, -1):
+        q, kmin = _alphabet(m, g, t)
+        h[g - 1] = h[g] + least_growth(h[g], q, v[g - 1] + kmin)
 
-    # Growth 0 covers nothing (its first-write sum is the single empty-mask
-    # term, 1, and its middle-write sum is empty), so every growth found is
-    # at least 1 and the ordering h_i > h_(i+1) holds by construction.  A
-    # middle write needs W >= v_i + 1 because its sum lacks the k = 0 term.
-    for vi in reversed(v[1:-1]):  # middle writes, bottom-up
-        hs.append(hs[-1] + least_growth(hs[-1], 2**m - 2, vi + 1))
-    if len(v) >= 2:
-        hs.append(hs[-1] + least_growth(hs[-1], q, v[0]))
-
-    return CodeParams(m=m, v=v, h=tuple(reversed(hs)))
+    return CodeParams(m=m, v=v, h=tuple(h[:t]))
 
 
 def validate(params: CodeParams) -> list[ConditionViolation]:
@@ -216,7 +217,7 @@ def validate(params: CodeParams) -> list[ConditionViolation]:
             continue
         window = write_window(m, h, g)
         if not window_covers(window, v[g - 1]):
-            kind = "last" if g == t else "first" if g == 1 else "middle"
+            kind = "last" if g == t else "first" if window.kmin == 0 else "middle"
             out.append(
                 ConditionViolation(
                     f"{kind}-write-capacity",

@@ -6,13 +6,10 @@ on the window of zero symbols: each write first soft-erases every nonzero
 symbol (and, except for the first write, surplus zeros) so that exactly h_g
 zeros remain, then stores its payload, one value per window slot, into
 those zeros in order.  The reader recovers the generation g from the count
-of zero symbols k0 alone:
-
-    g = 1  when k0 >= h_2,   g = i  when h_i > k0 >= h_{i+1},
-    g = t  when k0 < h_t,
-
-and the message from the live symbols, which are the payload: every symbol
-for the first write of a t > 1 code, the non-erased ones otherwise.
+of zero symbols k0 alone: g is the first write with k0 >= h_(g+1), taking
+h_(t+1) = 0, and the message from the live symbols, which are the payload:
+every symbol when the window's alphabet includes the erased value (the
+first of several writes), the non-erased ones otherwise.
 :func:`next_generation` holds the one rule for which write an image takes
 next: the all-zero image takes write 1.
 
@@ -83,15 +80,13 @@ def fresh_image(params: CodeParams) -> MemoryImage:
 
 
 def detect_generation(image: MemoryImage) -> int:
-    """Infer the generation from the zero-symbol count (thresholds partition)."""
-    h, t = image.params.h, image.params.t
-    k0 = image.zero_count
-    if t == 1 or k0 >= h[1]:
-        return 1
-    for i in range(2, t):
-        if h[i - 1] > k0 >= h[i]:
-            return i
-    return t
+    """Infer the generation from the zero-symbol count: the first write g
+    whose successor window fits, k0 >= h_(g+1), else t (h_(t+1) = 0)."""
+    h, k0 = image.params.h, image.zero_count
+    for g in range(1, len(h)):
+        if k0 >= h[g]:
+            return g
+    return len(h)
 
 
 def _stage(image: MemoryImage, values: Sequence[int]) -> MemoryImage:
@@ -161,20 +156,19 @@ def decode(image: MemoryImage) -> GenerationReading:
     params = image.params
     t, erased = params.t, params.erased
     generation = detect_generation(image)
-    # The first write's alphabet includes the erased value, so while more
-    # writes follow, every symbol is live.
-    if generation == 1 and t > 1:
-        live = image.symbols
-    else:
-        live = [s for s in image.symbols if s != erased]
-    if len(live) != params.h[generation - 1]:
-        write = "last write" if generation == t else f"write {generation}"
-        raise CorruptStateError(
-            f"{write} should leave {params.h[generation - 1]} live symbols, "
-            f"found {len(live)}"
-        )
     try:
         window = write_window(params.m, params.h, generation)
+        # A window whose alphabet includes the erased value (the first of
+        # several writes) makes every symbol live.
+        if window.q == erased:
+            live = image.symbols
+        else:
+            live = [s for s in image.symbols if s != erased]
+        if len(live) != window.h:
+            write = "last write" if generation == t else f"write {generation}"
+            raise CorruptStateError(
+                f"{write} should leave {window.h} live symbols, found {len(live)}"
+            )
         if generation == t:
             message = last_write_decode(live, window)
         else:

@@ -8,6 +8,7 @@ import random
 import pytest
 
 import spec
+from womcode.bounds import z_bound
 from womcode.errors import DomainError
 from womcode.message_codec import WriteWindow, window_capacity
 from womcode.planner import (
@@ -142,6 +143,17 @@ class TestPlan:
             plan(2, [])
         with pytest.raises(DomainError):
             plan(2, [4, 1])
+
+    def test_cardinalities_must_be_ints(self):
+        calls = [
+            lambda: plan(2, [7, 2.5]),
+            lambda: plan(2, [7.0, 2]),
+            lambda: CodeParams(2, (7, 2.5), (2, 1)),
+            lambda: z_bound([7.5, 2]),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="must be ints"):
+                call()
 
 
 class TestValidate:

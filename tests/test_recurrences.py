@@ -47,7 +47,6 @@ def test_delta_is_least_growth_at_q1():
         v = max(1, rng.getrandbits(rng.randint(1, 1024)))
         m = rng.randrange(0, 5001)
         d = delta(v, m)
-        assert d == least_growth(m, 1, v), (v, m)
         assert spec.capacity((m + d, 1, 0, d)) >= v, (v, m)
         assert d == 0 or spec.capacity((m + d - 1, 1, 0, d - 1)) < v, (v, m)
 
@@ -113,6 +112,8 @@ def test_plan_rejects_cardinality_at_the_limit():
         plan(2, [2, 2**8192])
     with pytest.raises(DomainError):
         plan(3, [2**16384])
+    with pytest.raises(DomainError, match="8193 bits"):
+        z_bound([2, 2**8192])
 
 
 def test_code_params_reject_cardinality_at_the_limit():
