@@ -50,21 +50,31 @@ CARDINALITY_LIMIT = 2**8192
 M_LIMIT = 4096
 
 
-def _check_m(m: int) -> None:
-    """Reject symbols of fewer than 2 or more than M_LIMIT wits."""
+def _check_m(m: int) -> int:
+    """m as an int of 2 to M_LIMIT wits per symbol, else a DomainError."""
+    try:
+        m = index(m)
+    except TypeError as exc:
+        raise DomainError(f"m must be an int: {exc}") from None
     if m < 2:
         raise DomainError(f"m must be at least 2, got {m}")
     if m > M_LIMIT:
         raise DomainError(f"m must be at most {M_LIMIT}, got {m}")
+    return m
+
+
+def _ints(values: Sequence[int], what: str) -> tuple[int, ...]:
+    """values as a tuple of ints, or a DomainError naming them `what`."""
+    try:
+        return tuple(map(index, values))
+    except TypeError as exc:
+        raise DomainError(f"{what} must be ints: {exc}") from None
 
 
 def _check_cardinalities(v: Sequence[int]) -> tuple[int, ...]:
     """v as a tuple of ints.  Reject an empty list, a value that is not an
     int, or any cardinality below 2 or at the limit."""
-    try:
-        v = tuple(map(index, v))
-    except TypeError as exc:
-        raise DomainError(f"message cardinalities must be ints: {exc}") from None
+    v = _ints(v, "message cardinalities")
     if len(v) < 1:
         raise DomainError("at least one write is required")
     if any(vi < 2 for vi in v):
@@ -92,9 +102,9 @@ class CodeParams:
     h: tuple[int, ...]
 
     def __post_init__(self):
-        _check_m(self.m)
+        object.__setattr__(self, "m", _check_m(self.m))
         object.__setattr__(self, "v", _check_cardinalities(self.v))
-        object.__setattr__(self, "h", tuple(self.h))
+        object.__setattr__(self, "h", _ints(self.h, "window sizes"))
         if len(self.v) != len(self.h):
             raise DomainError(
                 f"v and h must have equal length, got {len(self.v)} and {len(self.h)}"
@@ -149,16 +159,17 @@ def _alphabet(m: int, g: int, t: int) -> tuple[int, int]:
 
 def write_window(m: int, h: Sequence[int], g: int) -> WriteWindow:
     """The window of write g (1-based) of a code with symbols of m wits and
-    window sizes h: h_g slots, of which it writes kmin..h_g - h_(g+1), with
-    h_(t+1) = 0."""
+    window sizes h: h_g slots, of which it writes kmin..h_g - h_(g+1).  It
+    exists when h_g > h_(g+1) >= 0, with h_(t+1) = 0: the one chain rule."""
     t = len(h)
-    _check_m(m)
+    m = _check_m(m)
     if not 1 <= g <= t:
         raise DomainError(f"write {g} is not one of the {t} writes")
     hg = h[g - 1]
     hnext = h[g] if g < t else 0
-    if hg <= hnext:
-        raise DomainError(f"write {g} needs h_{g} > h_{g + 1}, got {hg} <= {hnext}")
+    if not hg > hnext >= 0:
+        broken = f"h_{g} > h_{g + 1}, got {hg} <=" if hg <= hnext else f"h_{g + 1} >= 0, got"
+        raise DomainError(f"write {g} needs {broken} {hnext}")
     q, kmin = _alphabet(m, g, t)
     return WriteWindow(h=hg, q=q, kmin=kmin, kmax=hg - hnext)
 
@@ -172,7 +183,7 @@ def plan(m: int, v: Sequence[int]) -> CodeParams:
     logarithms.
     """
     v = _check_cardinalities(v)
-    _check_m(m)
+    m = _check_m(m)
     t = len(v)
 
     # Growth 0 covers nothing (a kmin = 0 sum is the single empty-mask term,
@@ -190,32 +201,20 @@ def plan(m: int, v: Sequence[int]) -> CodeParams:
 def validate(params: CodeParams) -> list[ConditionViolation]:
     """Check all feasibility conditions; return violations (empty when valid).
 
-    Never raises for a constructible `params`.  Write g's capacity is
-    checked only when its window exists, h_g > h_(g+1) >= 0 with h_(t+1)
-    taken as 0; otherwise a window-order violation covers it (below a
-    negative successor the chain reaches a broken pair or a non-positive
-    h_t).  Capacities are compared with v_g by :func:`window_covers`, which
-    stops once v_g is reached; the exact capacity is computed only to report
-    a shortfall.
+    Never raises for a constructible `params`.  Write by write, a window that
+    :func:`write_window` rejects is a window-order violation with its text;
+    an existing window's capacity is compared with v_g by
+    :func:`window_covers`, which stops once v_g is reached, and the exact
+    capacity is computed only to report a shortfall.
     """
     m, v, h, t = params.m, params.v, params.h, params.t
     out: list[ConditionViolation] = []
-
-    for i in range(t - 1):
-        if h[i] <= h[i + 1]:
-            out.append(
-                ConditionViolation(
-                    "window-order", f"h_{i + 1}={h[i]} not greater than h_{i + 2}={h[i + 1]}"
-                )
-            )
-    if h[-1] < 1:
-        out.append(ConditionViolation("window-order", f"h_{t}={h[-1]} not positive"))
-
     for g in range(1, t + 1):
-        successor = h[g] if g < t else 0
-        if not h[g - 1] > successor >= 0:
+        try:
+            window = write_window(m, h, g)
+        except DomainError as exc:
+            out.append(ConditionViolation("window-order", str(exc)))
             continue
-        window = write_window(m, h, g)
         if not window_covers(window, v[g - 1]):
             kind = "last" if g == t else "first" if window.kmin == 0 else "middle"
             out.append(

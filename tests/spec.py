@@ -75,22 +75,18 @@ def plan(m: int, v) -> tuple[int, ...]:
 
 
 def violations(m: int, v, h) -> list[tuple[str, str]]:
-    """What ``validate`` reports: each broken window order, then each write
-    whose window exists (h_g > h_(g+1) >= 0) but holds fewer than v_g."""
-    t = len(h)
-    out = [
-        ("window-order", f"h_{g}={h[g - 1]} not greater than h_{g + 1}={h[g]}")
-        for g in range(1, t)
-        if h[g - 1] <= h[g]
-    ]
-    if h[-1] < 1:
-        out.append(("window-order", f"h_{t}={h[-1]} not positive"))
+    """What ``validate`` reports, write by write: a window that breaks the
+    chain h_g > h_(g+1) >= 0 (h_(t+1) = 0), or one holding fewer than v_g."""
+    t, out = len(h), []
     for g in range(1, t + 1):
-        if h[g - 1] > (h[g] if g < t else 0) >= 0:
-            cap = capacity(window(m, h, g))
-            if cap < v[g - 1]:
-                kind = "last" if g == t else "first" if g == 1 else "middle"
-                out.append((f"{kind}-write-capacity", f"capacity {cap} below v_{g}={v[g - 1]}"))
+        hg, later = h[g - 1], h[g] if g < t else 0
+        if hg <= later:
+            out.append(("window-order", f"write {g} needs h_{g} > h_{g + 1}, got {hg} <= {later}"))
+        elif later < 0:
+            out.append(("window-order", f"write {g} needs h_{g + 1} >= 0, got {later}"))
+        elif (cap := capacity(window(m, h, g))) < v[g - 1]:
+            kind = "last" if g == t else "first" if g == 1 else "middle"
+            out.append((f"{kind}-write-capacity", f"capacity {cap} below v_{g}={v[g - 1]}"))
     return out
 
 

@@ -140,6 +140,15 @@ class TestSessionCommands:
         assert "generation: 1" in out
         assert "message: 0" in out
 
+    def test_fresh_read_single_write(self, tmp_path, capsys):
+        # A fresh one-write session holds no legal last write: its reading is
+        # a corrupt-state error, not generation 1, message 0.
+        path = str(tmp_path / "one.wom")
+        assert run(capsys, "plan", "--v", "5", "--file", path)[0] == 0
+        assert run(capsys, "read", "--file", path) == (
+            5, "", "error: corrupt session state: all-zero word is not a legal last write\n"
+        )
+
     def test_write_read_chain(self, session, capsys):
         code, out, _ = run(capsys, "write", "--file", session, "3")
         assert code == 0
@@ -212,7 +221,11 @@ class TestSessionCommands:
         code, out, err = run(capsys, "read", "--file", session)
         assert code == 5
         assert out == ""
-        assert "corrupt" in err and "window-order: h_2=-1 not positive" in err
+        assert err == (
+            f"error: corrupt session state: state file {session}: "
+            "window-order: write 1 needs h_2 >= 0, got -1; "
+            "window-order: write 2 needs h_2 > h_3, got -1 <= 0\n"
+        )
 
     def test_oversized_cardinality_in_file_is_corrupt(self, session, capsys):
         with open(session, "w") as fh:
@@ -369,3 +382,24 @@ def test_readme_examples_match_real_output(capsys, tmp_path, monkeypatch):
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv
         assert matches_shown(out, shown), (argv, shown, out)
+
+
+def test_readme_library_values_match_repr():
+    # In README's python block, each expression is followed by `# value`, its
+    # repr, where `...` stands for any run of characters.  Every other line,
+    # assignments among them, is run, and its comment is prose.
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    namespace, shown_values = {}, 0
+    for line in block.splitlines():
+        code, _, shown = line.partition("#")
+        try:
+            expression = compile(code, "README.md", "eval")
+        except SyntaxError:
+            exec(line, namespace)
+            continue
+        value = repr(eval(expression, namespace))
+        pattern = ".*".join(map(re.escape, shown.strip().split("...")))
+        assert re.fullmatch(pattern, value), (code, shown, value)
+        shown_values += 1
+    assert shown_values == 7

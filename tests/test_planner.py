@@ -14,7 +14,6 @@ from womcode.message_codec import WriteWindow, window_capacity
 from womcode.planner import (
     M_LIMIT,
     CodeParams,
-    ConditionViolation,
     plan,
     validate,
     write_window,
@@ -145,15 +144,26 @@ class TestPlan:
             plan(2, [4, 1])
 
     def test_cardinalities_must_be_ints(self):
+        # So must m and the window sizes.
         calls = [
             lambda: plan(2, [7, 2.5]),
             lambda: plan(2, [7.0, 2]),
             lambda: CodeParams(2, (7, 2.5), (2, 1)),
             lambda: z_bound([7.5, 2]),
+            lambda: plan(2.0, [7, 2]),
+            lambda: CodeParams(2.0, (7, 2), (2, 1)),
+            lambda: CodeParams(2, (7, 2), (2.5, 1)),
+            lambda: CodeParams(2, (7, 2), (2.0, 1)),
+            lambda: write_window(2.0, (2, 1), 1),
         ]
         for call in calls:
-            with pytest.raises(DomainError, match="must be ints"):
+            with pytest.raises(DomainError, match="must be (ints|an int)"):
                 call()
+        # A value with __index__ is taken as the int it stands for.
+        two = type("Two", (), {"__index__": lambda self: 2})()
+        assert plan(two, [7, two]) == CodeParams(2, (7, 2), (2, 1))
+        assert CodeParams(two, (7, 2), (two, 1)) == CodeParams(2, (7, 2), (2, 1))
+        assert write_window(two, (2, 1), 1) == WriteWindow(h=2, q=3, kmin=0, kmax=1)
 
 
 class TestValidate:
@@ -184,21 +194,25 @@ class TestValidate:
 
     @pytest.mark.parametrize("h", [(2, -1), (2, 0), (3, 0, -1)])
     def test_non_positive_windows_are_violations_not_errors(self, h):
-        params = CodeParams(m=2, v=(5,) * len(h), h=h)
-        viols = validate(params)
-        assert viols[0] == ConditionViolation(
-            "window-order", f"h_{len(h)}={h[-1]} not positive"
-        )
-        assert {v.condition for v in viols} == {"window-order"}
+        # The last window sits above h_(t+1) = 0, so a non-positive one breaks
+        # the chain; a negative one breaks the window above it too.
+        t = len(h)
+        expected = [("window-order", f"write {t} needs h_{t} > h_{t + 1}, got {h[-1]} <= 0")]
+        if h[-1] < 0:
+            expected.insert(0, ("window-order", f"write {t - 1} needs h_{t} >= 0, got {h[-1]}"))
+        params = CodeParams(m=2, v=(5,) * t, h=h)
+        assert [(x.condition, x.detail) for x in validate(params)] == expected
 
-    def test_windows_above_a_negative_successor_skip_the_capacity_check(self):
-        # Write 1 sits above 0, a full window, so its capacity is checked;
-        # write 3 sits above -2 and has no window, so it is not.
+    def test_windows_above_a_negative_successor_are_order_violations(self):
+        # Violations come in write order.  Write 1 sits above 0, a full
+        # window, so its capacity is checked; write 3 sits above -2, so its
+        # window does not exist.
         params = CodeParams(m=2, v=(10**6, 7, 7, 7), h=(4, 0, 1, -2))
         assert [(v.condition, v.detail) for v in validate(params)] == [
-            ("window-order", "h_2=0 not greater than h_3=1"),
-            ("window-order", "h_4=-2 not positive"),
             ("first-write-capacity", "capacity 256 below v_1=1000000"),
+            ("window-order", "write 2 needs h_2 > h_3, got 0 <= 1"),
+            ("window-order", "write 3 needs h_4 >= 0, got -2"),
+            ("window-order", "write 4 needs h_4 > h_5, got -2 <= 0"),
         ]
 
     def test_matches_exact_capacity_oracle(self):
@@ -214,6 +228,9 @@ class TestValidate:
                 # Nudge windows so some capacities fall short, some barely
                 # cover, and some pairs break the order.
                 h = [x + rng.choice((-2, -1, -1, 0, 0, 0, 1)) for x in h]
+            if case % 4 == 3:
+                # A window of zero or below is reported, never raised.
+                h[rng.randrange(t)] = rng.randrange(-2, 1)
             report = validate(CodeParams(m=m, v=tuple(v), h=tuple(h)))
             assert [(x.condition, x.detail) for x in report] == spec.violations(m, v, h)
 
