@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, as_int
 from .planner import CodeParams, _check_cardinalities, least_growth, plan
 
 
@@ -27,6 +27,7 @@ def delta(v: int, m: int) -> int:
     S(d+1) = 2 * S(d) + C(m + d, d + 1).  At m = 0 the binomial term
     vanishes and S(d) = 2**d, so delta(v, 0) equals ceil(log2(v)).
     """
+    v, m = as_int(v, "message count"), as_int(m, "wit count")
     if v < 1:
         raise DomainError(f"message count must be >= 1, got {v}")
     if m < 0:

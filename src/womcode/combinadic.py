@@ -19,10 +19,7 @@ work only per one: one ``math.comb`` at the start, then one product and one
 exact division.  :func:`unrank` does not know a run's length in advance,
 so it steps the zeros one position at a time,
 
-  after a zero   C(i-1, j) = C(i, j) * (i - j) // i,
-
-and once what is left of the index is 0 the remaining ones close the
-vector without stepping the zeros before them.
+  after a zero   C(i-1, j) = C(i, j) * (i - j) // i.
 
 Every comparison that decides a bit is exact arbitrary-precision integer
 arithmetic; the counts involved routinely exceed 64 bits.
@@ -34,7 +31,7 @@ from itertools import islice
 from math import comb, perm
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, as_int
 
 
 def binomial(n: int, k: int) -> int:
@@ -42,6 +39,7 @@ def binomial(n: int, k: int) -> int:
 
     Both arguments must be nonnegative integers.
     """
+    n, k = as_int(n, "n"), as_int(k, "k")
     if n < 0 or k < 0:
         raise DomainError(f"binomial arguments must be nonnegative, got ({n}, {k})")
     return comb(n, k)
@@ -53,12 +51,11 @@ def rank(bits: Sequence[int]) -> int:
     The result lies in [0, C(n, k) - 1] for a length-n vector of weight k.
     Each one at position i with j ones left (itself included) adds C(i, j).
     """
-    if not isinstance(bits, bytes):
-        try:
-            # iter() keeps an int argument from reading as a length.
-            bits = bytes(iter(bits))
-        except (TypeError, ValueError):
-            raise DomainError("bit vector elements must be 0 or 1") from None
+    try:
+        # iter() keeps an int argument from reading as a length.
+        bits = bytes(iter(bits))
+    except (TypeError, ValueError):
+        raise DomainError("bit vector elements must be 0 or 1") from None
     n = len(bits)
     j = bits.count(1)
     if bits.count(0) + j != n:
@@ -87,6 +84,7 @@ def unrank(index: int, n: int, k: int) -> list[int]:
     Greedy left to right: each one goes at the largest label i whose C(i, j)
     does not exceed what is left of the index.
     """
+    index, n, k = as_int(index, "index"), as_int(n, "n"), as_int(k, "k")
     if n < 0 or k < 0:
         raise DomainError(f"unrank needs nonnegative n and k, got ({n}, {k})")
     total = binomial(n, k)
@@ -99,13 +97,9 @@ def unrank(index: int, n: int, k: int) -> list[int]:
     i, j, r = n - 1, k, index
     c = total * (n - k) // n  # C(n-1, k)
     while True:
-        if c > r:
-            if not r:  # C(i, j) > 0 = r down to i = j: the ones end the vector
-                bits[n - j:] = [1] * j
-                return bits
-            while c > r:  # label i is a zero
-                c = c * (i - j) // i
-                i -= 1
+        while c > r:  # label i is a zero
+            c = c * (i - j) // i
+            i -= 1
         r -= c
         bits[n - 1 - i] = 1
         if j == 1:

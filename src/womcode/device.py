@@ -40,7 +40,7 @@ import os
 from operator import index
 from typing import Iterable
 
-from .errors import CorruptStateError, DomainError, WriteOnceViolation
+from .errors import CorruptStateError, DomainError, WriteOnceViolation, as_int
 from .planner import CodeParams, validate
 from .wom_codec import MemoryImage
 
@@ -113,6 +113,7 @@ class WitArray:
     """n write-once bits; programming is idempotent, clearing is an error."""
 
     def __init__(self, n: int, wits: str | None = None):
+        n = as_int(n, "wit count")
         if n < 0:
             raise DomainError(f"wit count must be nonnegative, got {n}")
         if wits is None:

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all womcode modules."""
+"""Exception hierarchy shared by all womcode modules, and :func:`as_int`,
+which takes an int argument or raises a DomainError naming it."""
+
+from operator import index
 
 
 class WomCodeError(Exception):
@@ -19,3 +22,11 @@ class CorruptStateError(WomCodeError):
 
 class WriteOnceViolation(WomCodeError):
     """A requested update would clear a wit that is already programmed."""
+
+
+def as_int(value, name: str) -> int:
+    """`value` as an int by ``operator.index``, else a DomainError naming it."""
+    try:
+        return index(value)
+    except TypeError as exc:
+        raise DomainError(f"{name} must be an int: {exc}") from None

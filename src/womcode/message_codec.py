@@ -32,13 +32,13 @@ The last write of a code bypasses position modulation entirely:
 representation of M + 1 over the last window, whose q is 2^m - 2, so the
 base is 2^m - 1.  That never produces the all-zero word and never uses the
 erased symbol value 2^m - 1.  Both bijections split and join their digits
-with one private pair, :func:`_digits` and :func:`_number`, a
-divide-and-conquer split by base^(2^i).
+with one private pair, :func:`_digits` and :func:`_number`: one divmod per
+digit, and Horner's rule.
 
 Python work is per written slot only: the mask goes to and from
 :mod:`womcode.combinadic` as 0/1 values, the written slots are found with
-``compress`` and ``filter``, and the digit pair takes at most one Python
-step per digit, plus a few big divisions.
+``compress`` and ``filter``, and the digit pair takes one Python step per
+digit.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from operator import truth
 from typing import Iterable, Iterator, Sequence
 
 from .combinadic import binomial, rank, unrank
-from .errors import CorruptStateError, DomainError
+from .errors import CorruptStateError, DomainError, as_int
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,8 @@ class WriteWindow:
     kmax: int  # most slots a payload may write
 
     def __post_init__(self):
+        for name in ("h", "q", "kmin", "kmax"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if not 0 <= self.kmin <= self.kmax <= self.h:
             raise DomainError(
                 f"need 0 <= kmin <= kmax <= h, got kmin={self.kmin} "
@@ -71,56 +73,23 @@ class WriteWindow:
             raise DomainError(f"alphabet size must be positive, got {self.q}")
 
 
-# Digit strings of at most this length are split or joined one digit at a time.
-_LEAF_DIGITS = 32
-
-
-def _powers(base: int, length: int) -> list[int]:
-    """base ** 2**i for every i with 2**i < length (and i = 0)."""
-    powers = [base]
-    while 1 << len(powers) < length:
-        powers.append(powers[-1] * powers[-1])
-    return powers
-
-
 def _digits(x: int, base: int, length: int) -> list[int]:
-    """The `length` base-`base` digits of x, most significant first.
-
-    The low 2^i digits, 2^i < length, split off with one division by
-    base^(2^i), and both halves recurse, so a long digit string costs a few
-    big divisions, not one division of what is left of x per digit.  No
-    decimal string is built, so Python's int/str digit limit never applies.
-    """
-    powers = _powers(base, length)
-
-    def split(x: int, length: int) -> list[int]:
-        if length <= _LEAF_DIGITS:
-            digits = [0] * length
-            for pos in range(length - 1, -1, -1):
-                x, digits[pos] = divmod(x, base)
-            return digits
-        i = (length - 1).bit_length() - 1
-        high, low = divmod(x, powers[i])
-        return split(high, length - (1 << i)) + split(low, 1 << i)
-
-    return split(x, length)
+    """The `length` base-`base` digits of x, most significant first, one
+    divmod per digit.  No decimal string is built, so Python's int/str digit
+    limit never applies."""
+    digits = [0] * length
+    for pos in range(length - 1, -1, -1):
+        x, digits[pos] = divmod(x, base)
+    return digits
 
 
 def _number(digits: Iterable[int], base: int) -> int:
-    """Inverse of :func:`_digits`: the base-`base` number with these digits."""
-    digits = list(digits)
-    powers = _powers(base, len(digits))
-
-    def join(digits: list[int]) -> int:
-        if len(digits) <= _LEAF_DIGITS:
-            x = 0
-            for d in digits:
-                x = x * base + d
-            return x
-        i = (len(digits) - 1).bit_length() - 1
-        return join(digits[: -(1 << i)]) * powers[i] + join(digits[-(1 << i) :])
-
-    return join(digits)
+    """Inverse of :func:`_digits`: the base-`base` number with these digits,
+    by Horner's rule."""
+    x = 0
+    for d in digits:
+        x = x * base + d
+    return x
 
 
 def _blocks(window: WriteWindow) -> Iterator[tuple[int, int]]:

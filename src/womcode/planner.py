@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from operator import index
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, as_int
 from .message_codec import WriteWindow, window_capacity, window_covers
 
 # Every cardinality must stay below this.  It bounds the length of each
@@ -52,10 +52,7 @@ M_LIMIT = 4096
 
 def _check_m(m: int) -> int:
     """m as an int of 2 to M_LIMIT wits per symbol, else a DomainError."""
-    try:
-        m = index(m)
-    except TypeError as exc:
-        raise DomainError(f"m must be an int: {exc}") from None
+    m = as_int(m, "m")
     if m < 2:
         raise DomainError(f"m must be at least 2, got {m}")
     if m > M_LIMIT:

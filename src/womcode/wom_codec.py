@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from operator import index
 from typing import NamedTuple, Sequence
 
-from .errors import CapacityError, CorruptStateError, DomainError
+from .errors import CapacityError, CorruptStateError, DomainError, as_int
 from .message_codec import (
     last_write_decode,
     last_write_encode,
@@ -104,6 +104,7 @@ def erase_to(image: MemoryImage, target_zeros: int) -> MemoryImage:
     symbol, and the surplus zeros from the largest position index down, take
     the erased value, a fixed rule standing in for the free choice the
     construction allows."""
+    target_zeros = as_int(target_zeros, "target zero count")
     if target_zeros < 0:
         raise DomainError(f"target zero count must be nonnegative, got {target_zeros}")
     if target_zeros > image.zero_count:
@@ -126,6 +127,7 @@ def next_generation(image: MemoryImage) -> int:
 def encode_write(image: MemoryImage, message: int) -> MemoryImage:
     """Encode the next write (:func:`next_generation`) onto `image` and
     return the new image."""
+    message = as_int(message, "message")
     params = image.params
     t = params.t
     generation = next_generation(image)

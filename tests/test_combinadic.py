@@ -126,8 +126,9 @@ def test_kernels_agree_with_scans_on_seeded_vectors():
 
 
 def test_sparse_vectors_cross_long_runs():
-    # Runs of hundreds of zeros per one, and the ones packed at the right
-    # end (index 0), where unrank stops stepping once the index is used up.
+    # Runs of hundreds of zeros per one.  Index 0 packs the ones at the right
+    # end, behind the longest possible run of zeros: unrank steps each of
+    # those zeros and rank crosses them all in one step.
     rng = random.Random(4096)
     for _ in range(40):
         n = rng.randrange(2000, 4001)

@@ -8,7 +8,9 @@ import random
 import pytest
 
 import spec
-from womcode.bounds import z_bound
+from womcode.bounds import delta, z_bound
+from womcode.combinadic import binomial, unrank
+from womcode.device import WitArray
 from womcode.errors import DomainError
 from womcode.message_codec import WriteWindow, window_capacity
 from womcode.planner import (
@@ -18,6 +20,7 @@ from womcode.planner import (
     validate,
     write_window,
 )
+from womcode.wom_codec import encode_write, erase_to, fresh_image
 
 V56 = 2**56
 
@@ -144,7 +147,9 @@ class TestPlan:
             plan(2, [4, 1])
 
     def test_cardinalities_must_be_ints(self):
-        # So must m and the window sizes.
+        # So must m, the window sizes and every count a library entry point
+        # takes; the second list's errors name the argument.
+        image = fresh_image(plan(2, [7, 2]))
         calls = [
             lambda: plan(2, [7, 2.5]),
             lambda: plan(2, [7.0, 2]),
@@ -159,11 +164,24 @@ class TestPlan:
         for call in calls:
             with pytest.raises(DomainError, match="must be (ints|an int)"):
                 call()
+        for name, call in [
+            ("h", lambda: write_window(2, (2.0, 1), 1)),
+            ("kmax", lambda: WriteWindow(h=2, q=3, kmin=0, kmax=1.0)),
+            ("index", lambda: unrank(1.5, 5, 2)),
+            ("message count", lambda: delta(7.5, 2)),
+            ("n", lambda: binomial(5.0, 2)),
+            ("wit count", lambda: WitArray(4.0)),
+            ("target zero count", lambda: erase_to(image, 1.0)),
+            ("message", lambda: encode_write(image, 3.0)),
+        ]:
+            with pytest.raises(DomainError, match=f"^{name} must be an int"):
+                call()
         # A value with __index__ is taken as the int it stands for.
         two = type("Two", (), {"__index__": lambda self: 2})()
         assert plan(two, [7, two]) == CodeParams(2, (7, 2), (2, 1))
         assert CodeParams(two, (7, 2), (two, 1)) == CodeParams(2, (7, 2), (2, 1))
         assert write_window(two, (2, 1), 1) == WriteWindow(h=2, q=3, kmin=0, kmax=1)
+        assert WriteWindow(two, 3, 0, two) == WriteWindow(2, 3, 0, 2)
 
 
 class TestValidate:
