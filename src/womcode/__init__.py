@@ -4,6 +4,11 @@ The package plans code parameters for t writes of given message counts,
 encodes and decodes generations over simulated write-once cells, computes
 the write-by-write wit lower bound, and compares rates against classic
 fixed-cardinality schemes.
+
+The public surface is ``__all__`` and the command line.  Each value is
+checked once, where it enters: a public name converts int arguments with
+``operator.index``, else a DomainError names them, and checks their ranges.
+Internal names, such as ``planner.write_window``, check nothing again.
 """
 
 from .bounds import (

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError, as_int
+from .errors import DomainError, as_int, as_ints
 from .planner import CodeParams, _check_cardinalities, least_growth, plan
 
 
@@ -50,6 +50,7 @@ def z_bound(v_list: Sequence[int]) -> int:
 
 def code_rate(v_list: Sequence[int], n: int) -> float:
     """Bits stored per wit over the whole lifetime: log2(prod v_i) / n."""
+    v_list, n = as_ints(v_list, "message counts"), as_int(n, "wit count")
     if n < 1:
         raise DomainError(f"wit count must be >= 1, got {n}")
     total_bits = 0.0
@@ -142,6 +143,7 @@ def comparator_rates(t: int, v: int = 2**32) -> list[tuple[str, float]]:
     not support (it exists only for t = 2**(r-2) + 2, r >= 4).  The linear
     scheme needs t >= 2.
     """
+    t = as_int(t, "write count")
     rows = [
         ("position-modulation", position_modulation_rate(t, v)),
         ("fiat-shamir", fiat_shamir_rate(t)),
@@ -155,18 +157,20 @@ def comparator_rates(t: int, v: int = 2**32) -> list[tuple[str, float]]:
 
 
 # Best previously known fixed-cardinality <v>^t/n codes, one per write
-# count, kept as static reference data for the comparison table.  These are
-# hand-built or searched constructions (cyclic, projective-geometry, coset,
-# and concatenated designs), quoted by their published sizes and rates.
-KNOWN_CODES: tuple[tuple[int, int, int, float], ...] = (
-    # (t, v, n, rate rounded to 2 decimals)
-    (2, 26, 7, 1.34),
-    (3, 63, 12, 1.49),
-    (4, 7, 7, 1.60),
-    (5, 11, 11, 1.57),
-    (6, 16, 15, 1.60),
-    (7, 15, 15, 1.82),
-    (8, 15, 19, 1.65),
-    (9, 15, 21, 1.67),
-    (10, 15, 24, 1.63),
+# count, kept as static reference data for the comparison table: hand-built
+# or searched constructions (cyclic, projective-geometry, coset, concatenated
+# designs) at their published (t, v, n), with the rate derived from those.
+KNOWN_CODES: tuple[tuple[int, int, int, float], ...] = tuple(
+    (t, v, n, round(code_rate([v] * t, n), 2))
+    for t, v, n in (
+        (2, 26, 7),
+        (3, 63, 12),
+        (4, 7, 7),
+        (5, 11, 11),
+        (6, 16, 15),
+        (7, 15, 15),
+        (8, 15, 19),
+        (9, 15, 21),
+        (10, 15, 24),
+    )
 )

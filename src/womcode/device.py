@@ -11,14 +11,16 @@ significant of n bits: ``format(word, f"0{n}b")`` is the wit string and
 ``int(wits, 2)`` reads it back.  The write-once check is then
 ``word & ~new == 0`` and the programmed count ``word.bit_count()``.
 
-Images cross this boundary as wit strings.  For m <= 8 a symbol fits in a
-byte, and the conversion works on bit planes: plane p, the p-th wit of every
-symbol, is the string slice ``wits[p::m]``.  Read as one byte per wit, a
-plane is an int whose bytes are 0 or 1; shifted by m-1-p and added up, the
-planes give an int whose bytes are the symbols.  Writing goes the other way
-through ``bytearray`` slice assignment.  Both directions are a handful of
-C-level operations per plane, with no Python step per symbol.  For m > 8
-each distinct symbol value is rendered or parsed once through a table.
+Images cross this boundary as wit strings.  A :class:`MemoryImage` has
+checked its symbols and :meth:`WitArray.read_image` checks n = m*h_1, so the
+two conversions check nothing.  For m <= 8 a symbol fits in a byte, and the
+conversion works on bit planes: plane p, the p-th wit of every symbol, is
+the string slice ``wits[p::m]``.  Read as one byte per wit, a plane is an
+int whose bytes are 0 or 1; shifted by m-1-p and added up, the planes give
+an int whose bytes are the symbols.  Writing goes the other way through
+``bytearray`` slice assignment.  Both directions are a handful of C-level
+operations per plane, with no Python step per symbol.  For m > 8 each
+distinct symbol value is rendered or parsed once through a table.
 
 Session state is a small versioned text file, bit-exact across runs:
 
@@ -37,8 +39,7 @@ replaces the file atomically (write-new-then-rename).
 from __future__ import annotations
 
 import os
-from operator import index
-from typing import Iterable
+from typing import Sequence
 
 from .errors import CorruptStateError, DomainError, WriteOnceViolation, as_int
 from .planner import CodeParams, validate
@@ -51,10 +52,10 @@ STATE_VERSION = 1
 BYTE_M = 8
 
 
-def _is_wit_string(wits: str) -> bool:
-    """True when every character is an ASCII 0 or 1.  ``int(x, 2)`` alone
+def _is_wit_string(wits: object) -> bool:
+    """True when `wits` is a str of ASCII 0s and 1s.  ``int(x, 2)`` alone
     would also take "0b11", "1_1", "+11" and surrounding whitespace."""
-    return wits.isascii() and not wits.encode("ascii").translate(None, b"01")
+    return isinstance(wits, str) and wits.isascii() and not wits.encode().translate(None, b"01")
 
 
 _BYTE_VALUES = bytes(range(256))
@@ -66,35 +67,22 @@ _WIT_OF_BIT = tuple(
 )
 
 
-def symbols_to_bits(symbols: Iterable[int], m: int) -> str:
-    """Render symbol values as one wit string of m-wit groups, MSB first
-    within a group."""
-    try:
-        symbols = tuple(map(index, symbols))
-    except TypeError as exc:
-        raise DomainError(f"symbol values must be ints: {exc}") from None
-    try:
-        data = bytes(symbols) if m <= BYTE_M else None
-    except ValueError:  # a value outside 0..255: the table path names it
-        data = None
-    if data is not None and not data.translate(None, _BYTE_VALUES[: 1 << m]):
+def symbols_to_bits(symbols: Sequence[int], m: int) -> str:
+    """Render symbol values, ints in [0, 2^m - 1], as one wit string of
+    m-wit groups, MSB first within a group."""
+    if m <= BYTE_M:
+        data = bytes(symbols)
         wits = bytearray(len(data) * m)
         for p in range(m):
             wits[p::m] = data.translate(_WIT_OF_BIT[m - 1 - p])
         return wits.decode("ascii")
     groups = {s: format(s, f"0{m}b") for s in set(symbols)}
-    if groups and not (min(groups) >= 0 and max(groups).bit_length() <= m):
-        bad = next(s for s in symbols if s < 0 or s.bit_length() > m)
-        raise DomainError(f"symbol {bad} does not fit in {m} wits")
     return "".join(map(groups.__getitem__, symbols))
 
 
 def bits_to_symbols(wits: str, m: int) -> list[int]:
-    """Inverse of :func:`symbols_to_bits`."""
-    if len(wits) % m:
-        raise DomainError(f"{len(wits)} wits do not form whole {m}-wit symbols")
-    if not _is_wit_string(wits):
-        raise DomainError("wit string must be ASCII 0/1")
+    """Inverse of :func:`symbols_to_bits` for a wit string of whole m-wit
+    symbols."""
     if m <= BYTE_M:
         raw = wits.encode("ascii")
         word = 0
@@ -102,8 +90,6 @@ def bits_to_symbols(wits: str, m: int) -> list[int]:
             plane = raw[p::m].translate(_WIT_TO_BIT)
             word |= int.from_bytes(plane, "big") << (m - 1 - p)
         return list(word.to_bytes(len(raw) // m, "big"))
-    if not wits:  # the zip below takes m iterators, which n >= m bounds
-        return []
     chunks = list(map("".join, zip(*[iter(wits)] * m)))
     values = {c: int(c, 2) for c in set(chunks)}
     return list(map(values.__getitem__, chunks))
@@ -118,7 +104,7 @@ class WitArray:
             raise DomainError(f"wit count must be nonnegative, got {n}")
         if wits is None:
             wits = "0" * n
-        if len(wits) != n or not _is_wit_string(wits):
+        if not _is_wit_string(wits) or len(wits) != n:
             raise DomainError("wits must be a string of n characters 0 or 1")
         self.n = n
         self.word = int(wits, 2) if n else 0

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all womcode modules, and :func:`as_int`,
-which takes an int argument or raises a DomainError naming it."""
+"""Exception hierarchy shared by all womcode modules, and :func:`as_int` and
+:func:`as_ints`, which take an int or ints, or raise a DomainError naming it."""
 
 from operator import index
 
@@ -30,3 +30,11 @@ def as_int(value, name: str) -> int:
         return index(value)
     except TypeError as exc:
         raise DomainError(f"{name} must be an int: {exc}") from None
+
+
+def as_ints(values, name: str) -> tuple[int, ...]:
+    """`values` as a tuple of ints, as by :func:`as_int`."""
+    try:
+        return tuple(map(index, values))
+    except TypeError as exc:
+        raise DomainError(f"{name} must be ints: {exc}") from None

@@ -1,10 +1,12 @@
 """Bijection between message integers and write payloads.
 
 A write's payload is the tuple of its h window slot values: 0 for a slot
-the write leaves at zero, 1..q for a written one.  The payload writes k
-slots, k = h - count(0), with kmin <= k <= kmax.  The number of payloads is
-sum_k C(h, k) * q^k, and this module fixes one canonical enumeration of
-them so that encoder and decoder agree:
+the write leaves at zero, 1..q for a written one.  Windows come from
+:func:`womcode.planner.write_window`, so their fields are ints; this module
+checks their order and the messages, payloads and digits it is given.  The
+payload writes k slots, k = h - count(0), with kmin <= k <= kmax.  There
+are sum_k C(h, k) * q^k payloads, and this module fixes one canonical
+enumeration of them so that encoder and decoder agree:
 
   * payloads are blocked by k, ascending from kmin (so message 0 is the
     cheapest write);
@@ -49,7 +51,7 @@ from operator import truth
 from typing import Iterable, Iterator, Sequence
 
 from .combinadic import binomial, rank, unrank
-from .errors import CorruptStateError, DomainError, as_int
+from .errors import CorruptStateError, DomainError
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,6 @@ class WriteWindow:
     kmax: int  # most slots a payload may write
 
     def __post_init__(self):
-        for name in ("h", "q", "kmin", "kmax"):
-            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if not 0 <= self.kmin <= self.kmax <= self.h:
             raise DomainError(
                 f"need 0 <= kmin <= kmax <= h, got kmin={self.kmin} "

@@ -4,7 +4,8 @@ A code instance is the tuple (m, v, h): symbols of m wits each, message
 cardinalities v_1..v_t for the t successive writes, and window sizes
 h_1 > h_2 > ... > h_t.  The code uses n = m * h_1 wits.
 
-Write g is one window (:func:`write_window`): h_g zero symbols, values from
+Write g is one window, which :func:`write_window` builds from the checked
+m and h of a :class:`CodeParams`: h_g zero symbols, values from
 {1, ..., q} for each written slot, and k in kmin..h_g - h_(g+1) written
 slots, the chain closed by h_(t+1) = 0.  Its capacity is
 sum_{k=kmin}^{kmax} C(h_g, k) * q^k.  The first of several writes may use
@@ -34,10 +35,9 @@ wit bound's step, :func:`womcode.bounds.delta`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
 from typing import Sequence
 
-from .errors import DomainError, as_int
+from .errors import DomainError, as_int, as_ints
 from .message_codec import WriteWindow, window_capacity, window_covers
 
 # Every cardinality must stay below this.  It bounds the length of each
@@ -60,18 +60,10 @@ def _check_m(m: int) -> int:
     return m
 
 
-def _ints(values: Sequence[int], what: str) -> tuple[int, ...]:
-    """values as a tuple of ints, or a DomainError naming them `what`."""
-    try:
-        return tuple(map(index, values))
-    except TypeError as exc:
-        raise DomainError(f"{what} must be ints: {exc}") from None
-
-
 def _check_cardinalities(v: Sequence[int]) -> tuple[int, ...]:
     """v as a tuple of ints.  Reject an empty list, a value that is not an
     int, or any cardinality below 2 or at the limit."""
-    v = _ints(v, "message cardinalities")
+    v = as_ints(v, "message cardinalities")
     if len(v) < 1:
         raise DomainError("at least one write is required")
     if any(vi < 2 for vi in v):
@@ -101,7 +93,7 @@ class CodeParams:
     def __post_init__(self):
         object.__setattr__(self, "m", _check_m(self.m))
         object.__setattr__(self, "v", _check_cardinalities(self.v))
-        object.__setattr__(self, "h", _ints(self.h, "window sizes"))
+        object.__setattr__(self, "h", as_ints(self.h, "window sizes"))
         if len(self.v) != len(self.h):
             raise DomainError(
                 f"v and h must have equal length, got {len(self.v)} and {len(self.h)}"
@@ -155,13 +147,10 @@ def _alphabet(m: int, g: int, t: int) -> tuple[int, int]:
 
 
 def write_window(m: int, h: Sequence[int], g: int) -> WriteWindow:
-    """The window of write g (1-based) of a code with symbols of m wits and
-    window sizes h: h_g slots, of which it writes kmin..h_g - h_(g+1).  It
-    exists when h_g > h_(g+1) >= 0, with h_(t+1) = 0: the one chain rule."""
+    """The window of write g, 1 <= g <= t, of a CodeParams' m and window
+    sizes h: h_g slots, of which it writes kmin..h_g - h_(g+1).  It exists
+    when h_g > h_(g+1) >= 0, with h_(t+1) = 0: the one chain rule."""
     t = len(h)
-    m = _check_m(m)
-    if not 1 <= g <= t:
-        raise DomainError(f"write {g} is not one of the {t} writes")
     hg = h[g - 1]
     hnext = h[g] if g < t else 0
     if not hg > hnext >= 0:

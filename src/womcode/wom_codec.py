@@ -28,10 +28,9 @@ monotonicity is a consequence of the construction (symbols only move
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import index
 from typing import NamedTuple, Sequence
 
-from .errors import CapacityError, CorruptStateError, DomainError, as_int
+from .errors import CapacityError, CorruptStateError, DomainError, as_int, as_ints
 from .message_codec import (
     last_write_decode,
     last_write_encode,
@@ -51,10 +50,7 @@ class MemoryImage:
     zero_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        try:
-            symbols = tuple(map(index, self.symbols))
-        except TypeError as exc:
-            raise DomainError(f"symbol values must be ints: {exc}") from None
+        symbols = as_ints(self.symbols, "symbol values")
         object.__setattr__(self, "symbols", symbols)
         if len(symbols) != self.params.h[0]:
             raise DomainError(

@@ -9,7 +9,7 @@ import pytest
 import spec
 from womcode import combinadic
 from womcode.errors import CorruptStateError, DomainError
-from womcode.planner import M_LIMIT, write_window
+from womcode.planner import write_window
 from womcode.message_codec import (
     _blocks,
     _digits,
@@ -234,11 +234,3 @@ class TestLastWrite:
             last_write_decode([3, 1], last_window(2, 2))  # 3 is the erased value at m=2
         with pytest.raises(CorruptStateError):
             last_write_decode([], last_window(1, 2))
-
-    def test_window_carries_the_m_checks(self):
-        # The window is built by write_window, so an m outside 2..M_LIMIT
-        # never reaches the bijection.
-        with pytest.raises(DomainError, match="m must be at least 2"):
-            last_window(5000, 1)
-        with pytest.raises(DomainError, match="m must be at most"):
-            last_window(1, M_LIMIT + 1)
