@@ -37,6 +37,26 @@ class TestLayout:
             values = list(range(2**m))
             assert bits_to_symbols(symbols_to_bits(values, m), m) == values
 
+    # symbols_to_bits and bits_to_symbols check nothing: their symbols come
+    # from a MemoryImage and their wits from read_image, which check them.
+    def test_rejects_oversized_symbol(self):
+        params = CodeParams(m=2, v=(2,), h=(3,))
+        with pytest.raises(DomainError, match=r"lie in \[0, 3\]"):
+            WitArray(6).apply_image(MemoryImage(params, (1, 4, 7)))
+        with pytest.raises(DomainError, match=r"lie in \[0, 3\]"):
+            WitArray(6).apply_image(MemoryImage(params, (0, -1, 0)))
+
+    @pytest.mark.parametrize("m", [2, 9])
+    @pytest.mark.parametrize("symbols", [(1.5, 0), (1.0, 0), (1, 1.0)])
+    def test_rejects_non_int_symbol(self, m, symbols):
+        params = CodeParams(m=m, v=(2,), h=(2,))
+        with pytest.raises(DomainError, match="must be ints"):
+            WitArray(2 * m).apply_image(MemoryImage(params, symbols))
+
+    def test_rejects_ragged_bits(self):
+        with pytest.raises(DomainError):
+            WitArray(3, "011").read_image(SMALL)  # not whole 2-wit symbols
+
     @pytest.mark.parametrize("wits", ["0b11", "0_11", "+011", "-011", " 011", "0１01"])
     def test_rejects_non_binary_characters(self, wits):
         with pytest.raises(DomainError):
@@ -122,8 +142,6 @@ class TestWitArray:
             WitArray(6).apply_image(fresh_image(SMALL))
         with pytest.raises(DomainError):
             WitArray(6).read_image(SMALL)
-        with pytest.raises(DomainError):
-            WitArray(3).read_image(SMALL)  # not whole 2-wit symbols
 
     def test_violation_iff_any_bit_clears(self):
         rng = random.Random(99)

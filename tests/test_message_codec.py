@@ -9,7 +9,7 @@ import pytest
 import spec
 from womcode import combinadic
 from womcode.errors import CorruptStateError, DomainError
-from womcode.planner import write_window
+from womcode.planner import M_LIMIT, CodeParams, write_window
 from womcode.message_codec import (
     _blocks,
     _digits,
@@ -234,3 +234,11 @@ class TestLastWrite:
             last_write_decode([3, 1], last_window(2, 2))  # 3 is the erased value at m=2
         with pytest.raises(CorruptStateError):
             last_write_decode([], last_window(1, 2))
+
+    def test_window_carries_the_m_checks(self):
+        # A window's m is a CodeParams' m, so an m outside 2..M_LIMIT is
+        # refused there and never reaches the bijection.
+        with pytest.raises(DomainError, match="m must be at least 2"):
+            CodeParams(m=1, v=(2,), h=(5000,))
+        with pytest.raises(DomainError, match="m must be at most"):
+            CodeParams(m=M_LIMIT + 1, v=(2,), h=(1,))
