@@ -96,28 +96,24 @@ def check_half_optimal(params: CodeParams) -> BoundReport:
 
 
 # Classic multi-write schemes with fixed per-write cardinality, as rate
-# formulas only (their encoders are out of scope here).
+# formulas only (their encoders are out of scope here).  They check nothing:
+# their one caller, comparator_rates, passes t >= 1 (plan refuses fewer
+# writes first), t >= 2 to the linear scheme and r >= 4 to the coset scheme.
 
 
 def fiat_shamir_rate(t: int) -> float:
     """t writes of a trit into t + 1 wits: t * log2(3) / (t + 1)."""
-    if t < 1:
-        raise DomainError(f"write count must be >= 1, got {t}")
     return t * math.log2(3) / (t + 1)
 
 
 def rivest_shamir_linear_rate(t: int) -> float:
     """Linear scheme: t = 1 + v/4 writes of v values into v - 1 wits."""
-    if t < 2:
-        raise DomainError(f"write count must be >= 2, got {t}")
     v = 4 * (t - 1)
     return t * math.log2(v) / (v - 1)
 
 
 def cohen_rate(r: int) -> float:
     """Coset scheme: t = 2**(r-2) + 2 writes of r bits into 2**r - 1 wits."""
-    if r < 4:
-        raise DomainError(f"coset order must be >= 4, got {r}")
     t = 2 ** (r - 2) + 2
     return t * r / (2**r - 1)
 

@@ -54,8 +54,10 @@ def _parse_count_list(text: str) -> list[int]:
 
 
 def _power_of_two(bits: int) -> int:
-    """2**bits, refused before it is built if it would reach the cardinality
-    limit; the number has bits + 1 bits."""
+    """2**bits, refused before it is built if --bits is negative or if it
+    would reach the cardinality limit; the number has bits + 1 bits."""
+    if bits < 0:
+        raise DomainError(f"--bits must be nonnegative, got {bits}")
     check_cardinality_bits(bits + 1)
     return 2**bits
 
@@ -133,10 +135,10 @@ def cmd_plan(args) -> int:
         "half_optimal_ok": report.half_optimal_ok,
         "notes": notes,
     }
+    if args.file and os.path.exists(args.file):
+        raise DomainError(f"refusing to overwrite existing session file {args.file}")
     _emit(args, lines, record)
     if args.file:
-        if os.path.exists(args.file):
-            raise DomainError(f"refusing to overwrite existing session file {args.file}")
         save_state(args.file, params, WitArray(params.n))
         if args.format != "machine":
             print(f"session created: {args.file}")

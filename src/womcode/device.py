@@ -32,8 +32,9 @@ Session state is a small versioned text file, bit-exact across runs:
     wits 0011
 
 with v as decimal strings (cardinalities exceed any fixed width), h as
-decimal window sizes, and the wit string listing index 0 first.  Saving
-replaces the file atomically (write-new-then-rename).
+decimal window sizes, and the wit string listing index 0 first.  Each
+field appears once: a repeated or unknown key makes the file corrupt.
+Saving replaces the file atomically (write-new-then-rename).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .wom_codec import MemoryImage
 
 STATE_MAGIC = "womstate"
 STATE_VERSION = 1
+STATE_FIELDS = ("m", "t", "v", "h", "wits")
 
 # Symbols of at most this many wits fit in a byte (2^m - 1 <= 255).
 BYTE_M = 8
@@ -177,6 +179,10 @@ def load_state(path: str | os.PathLike) -> tuple[CodeParams, WitArray]:
         if not line.strip():
             continue
         key, _, value = line.partition(" ")
+        if key not in STATE_FIELDS:
+            fail(f"unknown field {key!r}")
+        if key in fields:
+            fail(f"repeated field {key!r}")
         fields[key] = value.strip()
     try:
         m = int(fields["m"])

@@ -1,11 +1,9 @@
 """Bijection between message integers and write payloads.
 
 A write's payload is the tuple of its h window slot values: 0 for a slot
-the write leaves at zero, 1..q for a written one.  Windows come from
-:func:`womcode.planner.write_window`, so their fields are ints; this module
-checks their order and the messages, payloads and digits it is given.  The
-payload writes k slots, k = h - count(0), with kmin <= k <= kmax.  There
-are sum_k C(h, k) * q^k payloads, and this module fixes one canonical
+the write leaves at zero, 1..q for a written one.  The payload writes k
+slots, k = h - count(0), with kmin <= k <= kmax.  There are
+sum_k C(h, k) * q^k payloads, and this module fixes one canonical
 enumeration of them so that encoder and decoder agree:
 
   * payloads are blocked by k, ascending from kmin (so message 0 is the
@@ -28,6 +26,15 @@ same walk; only a window that may write all h slots takes its capacity in
 closed form, (1 + q)^h less the blocks below kmin.  :func:`window_covers`
 walks the other way, from kmax down by B(k-1) = B(k) * k // ((h-k+1) * q),
 and stops as soon as the blocks summed reach the number asked for.
+
+This module trusts its callers: windows come from
+:func:`womcode.planner.write_window` (0 <= kmin <= kmax <= h, q >= 1),
+messages from :func:`womcode.wom_codec.encode_write` (0 <= M < v_g), and
+payloads and digits from :func:`womcode.wom_codec.decode` (h live symbols
+in [0, q], k in [kmin, kmax] by the zero count that chose the write).  It
+raises only for a message beyond the window's capacity, on a code that
+:func:`womcode.planner.validate` rejects, and for the all-zero last write
+of a fresh one-write memory.
 
 The last write of a code bypasses position modulation entirely:
 :func:`last_write_encode` maps a message M to the base-(q + 1)
@@ -62,15 +69,6 @@ class WriteWindow:
     q: int  # symbol values available per written slot: 1..q
     kmin: int  # fewest slots a payload may write
     kmax: int  # most slots a payload may write
-
-    def __post_init__(self):
-        if not 0 <= self.kmin <= self.kmax <= self.h:
-            raise DomainError(
-                f"need 0 <= kmin <= kmax <= h, got kmin={self.kmin} "
-                f"kmax={self.kmax} h={self.h}"
-            )
-        if self.q < 1:
-            raise DomainError(f"alphabet size must be positive, got {self.q}")
 
 
 def _digits(x: int, base: int, length: int) -> list[int]:
@@ -137,8 +135,6 @@ def window_covers(window: WriteWindow, need: int) -> bool:
 
 def message_to_payload(message: int, window: WriteWindow) -> tuple[int, ...]:
     """Map a message in [0, window_capacity) to its canonical slot values."""
-    if message < 0:
-        raise DomainError(f"message must be nonnegative, got {message}")
     h, q = window.h, window.q
     rem = message
     for k, block in _blocks(window):
@@ -158,17 +154,9 @@ def message_to_payload(message: int, window: WriteWindow) -> tuple[int, ...]:
 
 def payload_to_message(values: Sequence[int], window: WriteWindow) -> int:
     """Exact inverse of :func:`message_to_payload`."""
-    h, q = window.h, window.q
-    if len(values) != h:
-        raise DomainError(f"payload has {len(values)} slot values, window has {h} slots")
+    q = window.q
     written = list(filter(None, values))
-    # Only the k written slots are range-checked: the zeros are in range.
-    if written and not 1 <= min(written) <= max(written) <= q:
-        raise DomainError(f"slot values must lie in [0, {q}]")
     k = len(written)
-    if not window.kmin <= k <= window.kmax:
-        raise DomainError(f"payload writes {k} slots, window allows "
-                          f"[{window.kmin}, {window.kmax}]")
     base = 0
     for j, block in _blocks(window):
         if j == k:
@@ -195,12 +183,7 @@ def last_write_encode(message: int, window: WriteWindow) -> list[int]:
 
 def last_write_decode(digits: Sequence[int], window: WriteWindow) -> int:
     """Inverse of :func:`last_write_encode` for a stored digit sequence."""
-    top = window.q
-    if digits and not 0 <= min(digits) <= max(digits) <= top:
-        raise CorruptStateError(
-            f"last-write symbol outside [0, {top}]: {list(digits)}"
-        )
-    x = _number(digits, top + 1)
+    x = _number(digits, window.q + 1)
     if x == 0:
         raise CorruptStateError("all-zero word is not a legal last write")
     return x - 1

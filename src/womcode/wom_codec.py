@@ -154,25 +154,27 @@ def decode(image: MemoryImage) -> GenerationReading:
     params = image.params
     t, erased = params.t, params.erased
     generation = detect_generation(image)
+    # write_window raises only when h_g > h_(g+1) >= 0 fails, for a
+    # CodeParams that validate rejects but decode still accepts.
     try:
         window = write_window(params.m, params.h, generation)
-        # A window whose alphabet includes the erased value (the first of
-        # several writes) makes every symbol live.
-        if window.q == erased:
-            live = image.symbols
-        else:
-            live = [s for s in image.symbols if s != erased]
-        if len(live) != window.h:
-            write = "last write" if generation == t else f"write {generation}"
-            raise CorruptStateError(
-                f"{write} should leave {window.h} live symbols, found {len(live)}"
-            )
-        if generation == t:
-            message = last_write_decode(live, window)
-        else:
-            message = payload_to_message(live, window)
     except DomainError as exc:
         raise CorruptStateError(f"undecodable write {generation}: {exc}") from exc
+    # A window whose alphabet includes the erased value (the first of
+    # several writes) makes every symbol live.
+    if window.q == erased:
+        live = image.symbols
+    else:
+        live = [s for s in image.symbols if s != erased]
+    if len(live) != window.h:
+        write = "last write" if generation == t else f"write {generation}"
+        raise CorruptStateError(
+            f"{write} should leave {window.h} live symbols, found {len(live)}"
+        )
+    if generation == t:
+        message = last_write_decode(live, window)
+    else:
+        message = payload_to_message(live, window)
 
     if message >= params.v[generation - 1]:
         raise CorruptStateError(

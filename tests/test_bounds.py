@@ -162,8 +162,6 @@ class TestComparators:
         assert cohen_order_for(10) == 5
         assert cohen_order_for(7) is None
         assert cohen_order_for(4) is None
-        with pytest.raises(DomainError):
-            cohen_rate(3)
 
     def test_position_modulation_row(self):
         assert position_modulation_rate(10, 2**56) == pytest.approx(560 / 278)

@@ -100,6 +100,17 @@ class TestPlanCommand:
                 f"got one of {10**12 + 1} bits\n"
             )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("plan", "--bits", "-1", "--writes", "2"),
+            ("bound", "--bits", "-1", "--writes", "2"),
+            ("rates", "--bits", "-1"),
+        ],
+    )
+    def test_negative_bits_is_a_domain_error(self, capsys, argv):
+        assert run(capsys, *argv) == (3, "", "error: --bits must be nonnegative, got -1\n")
+
     def test_bits_limit_matches_cardinality_limit(self, capsys):
         # 2**8192 is the first cardinality refused, whether given as --bits or --v.
         by_bits = run(capsys, "plan", "--bits", "8192", "--writes", "2")
@@ -257,9 +268,28 @@ class TestSessionCommands:
         assert "no session file" in err
 
     def test_plan_refuses_overwrite(self, session, capsys):
-        code, _, err = run(capsys, "plan", "--v", "7,2", "--file", session)
-        assert code == 3
-        assert "refusing" in err
+        before = Path(session).read_text()
+        for fmt in ("text", "machine"):
+            code, out, err = run(capsys, "plan", "--v", "7,2", "--file", session, "--format", fmt)
+            assert (code, out) == (3, ""), fmt
+            assert err == f"error: refusing to overwrite existing session file {session}\n"
+        assert Path(session).read_text() == before
+
+    @pytest.mark.parametrize("extra", ["wits 0000", "note 1"])
+    def test_repeated_or_unknown_field_is_corrupt(self, session, capsys, extra):
+        # A second wits line must not replace the first: a write on top of
+        # it would clear wits the file had programmed.
+        record = "womstate 1\nm 2\nt 2\nv 7,2\nh 2,1\nwits 1111\n" + extra + "\n"
+        Path(session).write_text(record)
+        key = extra.split()[0]
+        kind = "repeated" if key == "wits" else "unknown"
+        for argv in (("read",), ("write", "3")):
+            code, out, err = run(capsys, *argv, "--file", session)
+            assert (code, out) == (5, "")
+            assert err == (
+                f"error: corrupt session state: state file {session}: {kind} field '{key}'\n"
+            )
+        assert Path(session).read_text() == record
 
     def test_write_survives_free_write(self, session, capsys):
         # Message 0 on a fresh session leaves it fresh; capacity is kept.

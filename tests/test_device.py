@@ -245,6 +245,8 @@ class TestStateFile:
             "womstate 1\nm 2\nt 2\nv 7,q\nh 2,1\nwits 0011\n",  # bad integer
             "womstate 1\nm 2\nt 2\nv 7,2\nwits 0011\n",  # missing field
             "womstate 1\nm 2\nt 2\nv 7,2\nh 1,2\nwits 0011\n",  # bad windows
+            "womstate 1\nm 2\nt 2\nv 7,2\nh 2,1\nwits 1111\nwits 0000\n",  # repeated field
+            "womstate 1\nm 2\nt 2\nv 7,2\nh 2,1\nwits 0011\nnote 1\n",  # unknown field
         ],
     )
     def test_corrupt_records(self, tmp_path, mutation):

@@ -107,14 +107,6 @@ class TestWindowCapacity:
             for need in (1, cap - 1, cap, cap + 1, rng.randrange(1, cap + 2)):
                 assert window_covers(w, need) == (cap >= need), (w, need)
 
-    def test_window_validation(self):
-        with pytest.raises(DomainError):
-            WriteWindow(h=3, q=2, kmin=2, kmax=1)
-        with pytest.raises(DomainError):
-            WriteWindow(h=3, q=2, kmin=0, kmax=4)
-        with pytest.raises(DomainError):
-            WriteWindow(h=3, q=0, kmin=0, kmax=1)
-
 
 class TestCanonicalEnumeration:
     def test_first_block_is_empty_write(self):
@@ -165,22 +157,6 @@ class TestCanonicalEnumeration:
         with pytest.raises(DomainError):
             message_to_payload(-1, w)
 
-    def test_invalid_payload_rejected(self):
-        w = WriteWindow(h=2, q=3, kmin=0, kmax=1)
-        bad = [
-            ((1, 1), "writes 2 slots"),  # k above kmax
-            ((0, 4), r"lie in \[0, 3\]"),  # value above q
-            ((0, -1), r"lie in \[0, 3\]"),  # value below 0
-            ((1,), "has 1 slot values"),  # shorter than the window
-            ((0, 0, 1), "has 3 slot values"),  # longer than the window
-        ]
-        for payload, text in bad:
-            with pytest.raises(DomainError, match=text):
-                payload_to_message(payload, w)
-        # k below kmin: a middle write must write at least one slot.
-        with pytest.raises(DomainError, match="writes 0 slots"):
-            payload_to_message((0, 0), WriteWindow(h=2, q=2, kmin=1, kmax=1))
-
     def test_random_windows_roundtrip(self):
         rng = random.Random(255)
         for _ in range(200):
@@ -230,8 +206,6 @@ class TestLastWrite:
     def test_decode_rejects_corrupt_digits(self):
         with pytest.raises(CorruptStateError):
             last_write_decode([0, 0, 0], last_window(3, 2))
-        with pytest.raises(CorruptStateError):
-            last_write_decode([3, 1], last_window(2, 2))  # 3 is the erased value at m=2
         with pytest.raises(CorruptStateError):
             last_write_decode([], last_window(1, 2))
 

@@ -10,8 +10,9 @@ import pytest
 
 import spec
 from womcode.errors import CapacityError, CorruptStateError, DomainError
-from womcode.planner import CodeParams, plan
+from womcode.planner import CodeParams, plan, validate
 from womcode.wom_codec import (
+    GenerationReading,
     MemoryImage,
     decode,
     detect_generation,
@@ -269,6 +270,26 @@ class TestDecoderContract:
             reading = spec.outcome(decode, img(params, *symbols))
             assert reading == spec.outcome(spec.read, symbols, m, params.h, v), symbols
             assert reading == last.get(symbols, reading), symbols
+
+    @pytest.mark.parametrize(
+        "m,v,h",
+        [(2, (7, 2), (2, 2)), (2, (100, 2), (2, 1))],
+        ids=["equal-windows", "short-capacity"],
+    )
+    def test_codes_validate_rejects_decode_or_are_corrupt(self, m, v, h):
+        # decode accepts a CodeParams that validate rejects.  The all-zero
+        # image of h = (2, 2) has no window (h_1 > h_2 fails), so it is
+        # corrupt; the spec does not check the window order and reads
+        # (1, 0).  Every other image reads as the spec reads it.
+        params = CodeParams(m, v, h)
+        assert validate(params)
+        for symbols in itertools.product(range(params.erased + 1), repeat=h[0]):
+            reading = spec.outcome(decode, img(params, *symbols))
+            assert isinstance(reading, GenerationReading) or reading == "CorruptStateError"
+            if h == (2, 2) and not any(symbols):
+                assert reading == "CorruptStateError"
+            else:
+                assert reading == spec.outcome(spec.read, symbols, m, h, v), symbols
 
 
 class TestRandomizedLifecycles:
