@@ -1,9 +1,11 @@
 """Command-line front end: plan codes, run write/read sessions against a
 persisted device file, compute bounds, and print rate-comparison tables.
 
-Exit codes are distinct so scripts can branch on failure class:
-0 success, 2 usage error (argparse), 3 domain error (bad values),
-4 memory exhausted (no writes left), 5 corrupt session state.
+A ``cmd_*`` handler returns ``(lines, record)``, its text output and its
+``--format machine`` JSON record, and prints nothing.  :func:`main` alone
+prints, and maps errors to distinct exit codes: 0 success, 2 usage error
+(argparse), 3 domain error or failed file access, 4 memory exhausted (no
+writes left), 5 corrupt session state.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ from .errors import (
 )
 from .message_codec import window_capacity
 from .planner import CodeParams, check_cardinality_bits, plan, write_window
-from .wom_codec import decode, detect_generation, encode_write, next_generation
+from .wom_codec import MemoryImage, decode, detect_generation, encode_write, next_generation
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_EXHAUSTED = 4
 EXIT_CORRUPT = 5
@@ -79,14 +80,10 @@ def _cardinalities(args) -> list[int]:
     return [_power_of_two(args.bits)] * args.writes
 
 
-def _emit(args, lines: list[str], record: dict) -> None:
-    if args.format == "machine":
-        print(json.dumps(record, sort_keys=True))
-    else:
-        print("\n".join(lines))
+Output = tuple[list[str], dict]
 
 
-def cmd_plan(args) -> int:
+def cmd_plan(args) -> Output:
     v = _cardinalities(args)
     params = plan(args.m, v)
     report = bounds.check_half_optimal(params)
@@ -135,27 +132,25 @@ def cmd_plan(args) -> int:
         "half_optimal_ok": report.half_optimal_ok,
         "notes": notes,
     }
-    if args.file and os.path.exists(args.file):
-        raise DomainError(f"refusing to overwrite existing session file {args.file}")
-    _emit(args, lines, record)
     if args.file:
+        if os.path.exists(args.file):
+            raise DomainError(f"refusing to overwrite existing session file {args.file}")
         save_state(args.file, params, WitArray(params.n))
-        if args.format != "machine":
-            print(f"session created: {args.file}")
-    return EXIT_OK
+        lines.append(f"session created: {args.file}")
+    return lines, record
 
 
-def _load_session(path: str) -> tuple[CodeParams, WitArray]:
+def _load_session(path: str) -> tuple[CodeParams, WitArray, MemoryImage]:
     if not path:
         raise DomainError("this command needs --file pointing at a session file")
     if not os.path.exists(path):
         raise DomainError(f"no session file at {path}")
-    return load_state(path)
+    params, arr = load_state(path)
+    return params, arr, arr.read_image(params)
 
 
-def cmd_write(args) -> int:
-    params, arr = _load_session(args.file)
-    image = arr.read_image(params)
+def cmd_write(args) -> Output:
+    params, arr, image = _load_session(args.file)
     new_image = encode_write(image, args.message)
     reading = decode(new_image)
     if reading.message != args.message:
@@ -174,24 +169,20 @@ def cmd_write(args) -> int:
         "message": str(reading.message),
         "zero_symbols": new_image.zero_count,
     }
-    _emit(args, lines, record)
-    return EXIT_OK
+    return lines, record
 
 
-def cmd_read(args) -> int:
-    params, arr = _load_session(args.file)
-    reading = decode(arr.read_image(params))
-    _emit(
-        args,
+def cmd_read(args) -> Output:
+    _, _, image = _load_session(args.file)
+    reading = decode(image)
+    return (
         [f"generation: {reading.generation}", f"message: {reading.message}"],
         {"generation": reading.generation, "message": str(reading.message)},
     )
-    return EXIT_OK
 
 
-def cmd_erase_status(args) -> int:
-    params, arr = _load_session(args.file)
-    image = arr.read_image(params)
+def cmd_erase_status(args) -> Output:
+    params, arr, image = _load_session(args.file)
     generation = detect_generation(image)
     remaining = params.t + 1 - next_generation(image)
     programmed = arr.word.bit_count()
@@ -211,11 +202,10 @@ def cmd_erase_status(args) -> int:
         "writes_remaining": remaining,
         "windows": list(params.h),
     }
-    _emit(args, lines, record)
-    return EXIT_OK
+    return lines, record
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args) -> Output:
     v = _cardinalities(args)
     params = plan(args.m, v)
     report = bounds.check_half_optimal(params)
@@ -233,11 +223,10 @@ def cmd_bound(args) -> int:
         "rate": report.rate,
         "half_optimal_ok": report.half_optimal_ok,
     }
-    _emit(args, lines, record)
-    return EXIT_OK
+    return lines, record
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> Output:
     rows = []
     for t, v, n, known_rate in bounds.KNOWN_CODES:
         params = plan(2, [2**56] * t)
@@ -264,43 +253,25 @@ def cmd_table(args) -> int:
             f"{row['t']:>2}  {known_code:>12}  {known['rate']:>5.2f}  "
             f"{pm_code:>15}  {pm['rate']:>5.2f}"
         )
-    _emit(args, lines, {"rows": rows})
-    return EXIT_OK
+    return lines, {"rows": rows}
 
 
-def cmd_rates(args) -> int:
+def cmd_rates(args) -> Output:
     if args.tmax < 2:
         raise DomainError(f"--tmax must be >= 2, got {args.tmax}")
     v = _power_of_two(args.bits)
-    header = "t,position_modulation,fiat_shamir,rivest_shamir_linear,cohen"
-    lines = [header]
+    columns = ("position_modulation", "fiat_shamir", "rivest_shamir_linear", "cohen")
+    lines = [",".join(("t", *columns))]
     rows = []
     for t in range(2, args.tmax + 1):
-        by_name = dict(bounds.comparator_rates(t, v=v))
-        row = {
-            "t": t,
-            "position_modulation": by_name["position-modulation"],
-            "fiat_shamir": by_name["fiat-shamir"],
-            "rivest_shamir_linear": by_name["rivest-shamir-linear"],
-            "cohen": by_name.get("cohen"),
-        }
+        row = {"t": t, "cohen": None}
+        for name, rate in bounds.comparator_rates(t, v=v):
+            row[name.replace("-", "_")] = rate
         rows.append(row)
-        cohen = f"{row['cohen']:.4f}" if row["cohen"] is not None else ""
         lines.append(
-            f"{t},{row['position_modulation']:.4f},{row['fiat_shamir']:.4f},"
-            f"{row['rivest_shamir_linear']:.4f},{cohen}"
+            f"{t}," + ",".join("" if row[c] is None else f"{row[c]:.4f}" for c in columns)
         )
-    _emit(args, lines, {"v_bits": args.bits, "rows": rows})
-    return EXIT_OK
-
-
-def _add_format(sub) -> None:
-    sub.add_argument(
-        "--format",
-        choices=("text", "machine"),
-        default="text",
-        help="text for humans, machine for one JSON record",
-    )
+    return lines, {"v_bits": args.bits, "rows": rows}
 
 
 def _add_code_flags(sub) -> None:
@@ -326,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="compute code parameters, optionally start a session")
     _add_code_flags(p)
     p.add_argument("--file", help="create a fresh session file (refuses to overwrite)")
-    _add_format(p)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("write", help="write the next generation into a session file")
@@ -334,51 +304,54 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "message", type=_parse_count, help="message value (decimal or 0x hex)"
     )
-    _add_format(p)
     p.set_defaults(func=cmd_write)
 
     p = sub.add_parser("read", help="decode a session file (no side effects)")
     p.add_argument("--file", required=True, help="session file")
-    _add_format(p)
     p.set_defaults(func=cmd_read)
 
     p = sub.add_parser("erase-status", help="report zero symbols and writes left")
     p.add_argument("--file", required=True, help="session file")
-    _add_format(p)
     p.set_defaults(func=cmd_erase_status)
 
     p = sub.add_parser("bound", help="wit lower bound versus the planned code")
     _add_code_flags(p)
-    _add_format(p)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("table", help="compare against the best known fixed codes")
-    _add_format(p)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("rates", help="per-t rates of this scheme and three classics")
     p.add_argument("--bits", type=int, default=32, help="log2 of v (default 32)")
     p.add_argument("--tmax", type=int, default=50, help="largest t (default 50)")
-    _add_format(p)
     p.set_defaults(func=cmd_rates)
 
+    for p in sub.choices.values():
+        p.add_argument(
+            "--format",
+            choices=("text", "machine"),
+            default="text",
+            help="text for humans, machine for one JSON record",
+        )
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        lines, record = args.func(args)
+        if args.format == "machine":
+            print(json.dumps(record, sort_keys=True))
+        else:
+            print("\n".join(lines))
+        return EXIT_OK
     except (CorruptStateError, WriteOnceViolation) as exc:
         print(f"error: corrupt session state: {exc}", file=sys.stderr)
         return EXIT_CORRUPT
     except CapacityError as exc:
         print(f"error: memory exhausted: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
-    except WomCodeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:
+    except (WomCodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -19,8 +19,8 @@ the string slice ``wits[p::m]``.  Read as one byte per wit, a plane is an
 int whose bytes are 0 or 1; shifted by m-1-p and added up, the planes give
 an int whose bytes are the symbols.  Writing goes the other way through
 ``bytearray`` slice assignment.  Both directions are a handful of C-level
-operations per plane, with no Python step per symbol.  For m > 8 each
-distinct symbol value is rendered or parsed once through a table.
+operations per plane, with no Python step per symbol.  For m > 8, which
+no benchmark workload reaches, each symbol is formatted or parsed on its own.
 
 Session state is a small versioned text file, bit-exact across runs:
 
@@ -34,7 +34,8 @@ Session state is a small versioned text file, bit-exact across runs:
 with v as decimal strings (cardinalities exceed any fixed width), h as
 decimal window sizes, and the wit string listing index 0 first.  Each
 field appears once: a repeated or unknown key makes the file corrupt.
-Saving replaces the file atomically (write-new-then-rename).
+Saving replaces the file atomically (write-new-then-rename); an OSError
+from either step names the session file, not the temp file.
 """
 
 from __future__ import annotations
@@ -78,8 +79,7 @@ def symbols_to_bits(symbols: Sequence[int], m: int) -> str:
         for p in range(m):
             wits[p::m] = data.translate(_WIT_OF_BIT[m - 1 - p])
         return wits.decode("ascii")
-    groups = {s: format(s, f"0{m}b") for s in set(symbols)}
-    return "".join(map(groups.__getitem__, symbols))
+    return "".join(format(s, f"0{m}b") for s in symbols)
 
 
 def bits_to_symbols(wits: str, m: int) -> list[int]:
@@ -92,9 +92,7 @@ def bits_to_symbols(wits: str, m: int) -> list[int]:
             plane = raw[p::m].translate(_WIT_TO_BIT)
             word |= int.from_bytes(plane, "big") << (m - 1 - p)
         return list(word.to_bytes(len(raw) // m, "big"))
-    chunks = list(map("".join, zip(*[iter(wits)] * m)))
-    values = {c: int(c, 2) for c in set(chunks)}
-    return list(map(values.__getitem__, chunks))
+    return [int(wits[i:i + m], 2) for i in range(0, len(wits), m)]
 
 
 class WitArray:
@@ -156,9 +154,12 @@ def save_state(path: str | os.PathLike, params: CodeParams, array: WitArray) -> 
         ]
     )
     tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(record + "\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(record + "\n")
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
 
 
 def load_state(path: str | os.PathLike) -> tuple[CodeParams, WitArray]:

@@ -275,6 +275,16 @@ class TestSessionCommands:
             assert err == f"error: refusing to overwrite existing session file {session}\n"
         assert Path(session).read_text() == before
 
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_failed_save_prints_nothing(self, tmp_path, capsys, monkeypatch, fmt):
+        # The session is saved before anything is printed, and the error
+        # names the path given, not the temp file written first.
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "plan", "--v", "7,2", "--file", "nodir/x.wom", "--format", fmt)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and "'nodir/x.wom'" in err and ".tmp" not in err
+        assert not (tmp_path / "nodir").exists()
+
     @pytest.mark.parametrize("extra", ["wits 0000", "note 1"])
     def test_repeated_or_unknown_field_is_corrupt(self, session, capsys, extra):
         # A second wits line must not replace the first: a write on top of
@@ -355,6 +365,54 @@ class TestRatesCommand:
     def test_bad_tmax(self, capsys):
         code, _, _ = run(capsys, "rates", "--tmax", "1")
         assert code == 3
+
+
+# What each subcommand needs before argparse reaches an unknown flag.
+REQUIRED_ARGS = {
+    "plan": (),
+    "write": ("--file", "s.wom", "3"),
+    "read": ("--file", "s.wom"),
+    "erase-status": ("--file", "s.wom"),
+    "bound": (),
+    "table": (),
+    "rates": (),
+}
+
+
+def parser_exit(capsys, argv):
+    """(exit code, stdout, stderr) of a command argparse ends itself."""
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    return info.value.code, out, err
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED_ARGS))
+def test_subcommand_usage_error_and_help(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    # Python 3.11 reports an unknown flag with the top-level usage, so only
+    # the common prefix is pinned; a bad --format value is the subcommand's
+    # own error.
+    code, out, err = parser_exit(capsys, [command, *REQUIRED_ARGS[command], "--bogus"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: womcode ") and "unrecognized arguments: --bogus" in err
+    code, out, err = parser_exit(capsys, [command, *REQUIRED_ARGS[command], "--format", "xml"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: womcode {command} ")
+    assert "argument --format: invalid choice" in err
+    code, out, _ = parser_exit(capsys, [command, "--help"])
+    assert code == 0
+    assert "--format {text,machine}" in out
+
+
+def test_bare_womcode_usage_error_and_help(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = parser_exit(capsys, [])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: womcode ") and "womcode: error: " in err
+    code, out, _ = parser_exit(capsys, ["--help"])
+    assert code == 0
+    assert "{" + ",".join(REQUIRED_ARGS) + "}" in out
 
 
 def test_module_entry_point_propagates_exit_codes(tmp_path):

@@ -224,6 +224,17 @@ class TestStateFile:
         assert before != after
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_failed_save_names_the_session_file(self, tmp_path):
+        # The open of the temp file fails in the first case, the rename
+        # over a directory in the second; both report the path given.
+        (tmp_path / "adir").mkdir()
+        for path in (tmp_path / "nodir" / "code.wom", tmp_path / "adir"):
+            with pytest.raises(OSError) as info:
+                save_state(path, SMALL, WitArray(SMALL.n))
+            assert info.value.filename == str(path)
+            assert ".tmp" not in str(info.value)
+        assert not (tmp_path / "nodir").exists()
+
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "code.wom"
         path.write_text("womstate 2\nm 2\nt 2\nv 7,2\nh 2,1\nwits 0000\n")
