@@ -274,17 +274,34 @@ def cmd_rates(args) -> Output:
     return lines, {"v_bits": args.bits, "rows": rows}
 
 
-def _add_code_flags(sub) -> None:
-    sub.add_argument("--m", type=int, default=2, help="wits per symbol (default 2)")
-    sub.add_argument("--writes", type=int, help="number of writes t")
-    sub.add_argument(
-        "--bits", type=int, help="store 2**bits messages on every write"
-    )
-    sub.add_argument(
-        "--v",
-        type=_parse_count_list,
-        help="comma-separated per-write cardinalities (decimal or 0x hex)",
-    )
+_CODE_FLAGS = (
+    ("--m", dict(type=int, default=2, help="wits per symbol (default 2)")),
+    ("--writes", dict(type=int, help="number of writes t")),
+    ("--bits", dict(type=int, help="store 2**bits messages on every write")),
+    ("--v", dict(type=_parse_count_list,
+                 help="comma-separated per-write cardinalities (decimal or 0x hex)")),
+)
+_SESSION_FILE = ("--file", dict(required=True, help="session file"))
+_FORMAT = ("--format", dict(choices=("text", "machine"), default="text",
+                            help="text for humans, machine for one JSON record"))
+_COMMANDS = (
+    ("plan", "compute code parameters, optionally start a session", cmd_plan, (
+        *_CODE_FLAGS,
+        ("--file", dict(help="create a fresh session file (refuses to overwrite)")),
+    )),
+    ("write", "write the next generation into a session file", cmd_write, (
+        _SESSION_FILE,
+        ("message", dict(type=_parse_count, help="message value (decimal or 0x hex)")),
+    )),
+    ("read", "decode a session file (no side effects)", cmd_read, (_SESSION_FILE,)),
+    ("erase-status", "report zero symbols and writes left", cmd_erase_status, (_SESSION_FILE,)),
+    ("bound", "wit lower bound versus the planned code", cmd_bound, _CODE_FLAGS),
+    ("table", "compare against the best known fixed codes", cmd_table, ()),
+    ("rates", "per-t rates of this scheme and three classics", cmd_rates, (
+        ("--bits", dict(type=int, default=32, help="log2 of v (default 32)")),
+        ("--tmax", dict(type=int, default=50, help="largest t (default 50)")),
+    )),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,51 +310,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Plan and exercise multiple-write codes over write-once bits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("plan", help="compute code parameters, optionally start a session")
-    _add_code_flags(p)
-    p.add_argument("--file", help="create a fresh session file (refuses to overwrite)")
-    p.set_defaults(func=cmd_plan)
-
-    p = sub.add_parser("write", help="write the next generation into a session file")
-    p.add_argument("--file", required=True, help="session file")
-    p.add_argument(
-        "message", type=_parse_count, help="message value (decimal or 0x hex)"
-    )
-    p.set_defaults(func=cmd_write)
-
-    p = sub.add_parser("read", help="decode a session file (no side effects)")
-    p.add_argument("--file", required=True, help="session file")
-    p.set_defaults(func=cmd_read)
-
-    p = sub.add_parser("erase-status", help="report zero symbols and writes left")
-    p.add_argument("--file", required=True, help="session file")
-    p.set_defaults(func=cmd_erase_status)
-
-    p = sub.add_parser("bound", help="wit lower bound versus the planned code")
-    _add_code_flags(p)
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("table", help="compare against the best known fixed codes")
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("rates", help="per-t rates of this scheme and three classics")
-    p.add_argument("--bits", type=int, default=32, help="log2 of v (default 32)")
-    p.add_argument("--tmax", type=int, default=50, help="largest t (default 50)")
-    p.set_defaults(func=cmd_rates)
-
-    for p in sub.choices.values():
-        p.add_argument(
-            "--format",
-            choices=("text", "machine"),
-            default="text",
-            help="text for humans, machine for one JSON record",
-        )
+    for name, help_text, func, flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in (*flags, _FORMAT):
+            p.add_argument(flag, **kwargs)
+        # main reports leftover arguments with this subcommand's usage.
+        p.set_defaults(func=func, parser=p)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.parser.error("unrecognized arguments: " + " ".join(extra))
     try:
         lines, record = args.func(args)
         if args.format == "machine":

@@ -35,11 +35,13 @@ with v as decimal strings (cardinalities exceed any fixed width), h as
 decimal window sizes, and the wit string listing index 0 first.  Each
 field appears once: a repeated or unknown key makes the file corrupt.
 Saving replaces the file atomically (write-new-then-rename); an OSError
-from either step names the session file, not the temp file.
+from either step names the session file, not the temp file, and a failure
+after the temp file is open removes it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 from typing import Sequence
 
@@ -154,11 +156,16 @@ def save_state(path: str | os.PathLike, params: CodeParams, array: WitArray) -> 
         ]
     )
     tmp = f"{os.fspath(path)}.tmp"
+    opened = False
     try:
         with open(tmp, "w", encoding="ascii") as fh:
+            opened = True
             fh.write(record + "\n")
         os.replace(tmp, path)
     except OSError as exc:
+        if opened:  # a temp file this call could not open is not its to remove
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
 
 

@@ -226,7 +226,8 @@ class TestStateFile:
 
     def test_failed_save_names_the_session_file(self, tmp_path):
         # The open of the temp file fails in the first case, the rename
-        # over a directory in the second; both report the path given.
+        # over a directory in the second; both report the path given, and
+        # the temp file the second one wrote is gone.
         (tmp_path / "adir").mkdir()
         for path in (tmp_path / "nodir" / "code.wom", tmp_path / "adir"):
             with pytest.raises(OSError) as info:
@@ -234,6 +235,7 @@ class TestStateFile:
             assert info.value.filename == str(path)
             assert ".tmp" not in str(info.value)
         assert not (tmp_path / "nodir").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "code.wom"
