@@ -6,6 +6,12 @@ A ``cmd_*`` handler returns ``(lines, record)``, its text output and its
 prints, and maps errors to distinct exit codes: 0 success, 2 usage error
 (argparse), 3 domain error or failed file access, 4 memory exhausted (no
 writes left), 5 corrupt session state.
+
+Each call builds its parser afresh from the ``_COMMANDS`` table, and only
+the subcommand that the first argument names: ``womcode write ...`` never
+builds the other six.  Any other first argument (none, ``-h``, an option
+or an unknown command) gets the full parser, so top-level help and usage
+errors list every subcommand.
 """
 
 from __future__ import annotations
@@ -304,13 +310,16 @@ _COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser for `argv`: only the subcommand that ``argv[0]`` names,
+    or every subcommand when ``argv[0]`` names none of them."""
+    rows = [row for row in _COMMANDS if argv and row[0] == argv[0]] or _COMMANDS
     parser = argparse.ArgumentParser(
         prog="womcode",
         description="Plan and exercise multiple-write codes over write-once bits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, func, flags in _COMMANDS:
+    for name, help_text, func, flags in rows:
         p = sub.add_parser(name, help=help_text)
         for flag, kwargs in (*flags, _FORMAT):
             p.add_argument(flag, **kwargs)
@@ -320,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args, extra = build_parser().parse_known_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args, extra = build_parser(argv).parse_known_args(argv)
     if extra:
         args.parser.error("unrecognized arguments: " + " ".join(extra))
     try:

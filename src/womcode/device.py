@@ -195,8 +195,8 @@ def load_state(path: str | os.PathLike) -> tuple[CodeParams, WitArray]:
     try:
         m = int(fields["m"])
         t = int(fields["t"])
-        v = tuple(int(x) for x in fields["v"].split(","))
-        h = tuple(int(x) for x in fields["h"].split(","))
+        v = tuple([int(x) for x in fields["v"].split(",")])
+        h = tuple([int(x) for x in fields["h"].split(",")])
         wits = fields["wits"]
     except (KeyError, ValueError) as exc:
         fail(f"malformed field ({exc})")

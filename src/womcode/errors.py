@@ -35,6 +35,7 @@ def as_int(value, name: str) -> int:
 def as_ints(values, name: str) -> tuple[int, ...]:
     """`values` as a tuple of ints, as by :func:`as_int`."""
     try:
-        return tuple(map(index, values))
+        # Via a list: tuple(iterator) shrinks a 10-slot tuple, which overfills the free lists.
+        return tuple(list(map(index, values)))
     except TypeError as exc:
         raise DomainError(f"{name} must be ints: {exc}") from None

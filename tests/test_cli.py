@@ -431,6 +431,43 @@ def test_bare_womcode_usage_error_and_help(capsys, monkeypatch):
     assert "{" + ",".join(REQUIRED_ARGS) + "}" in out
 
 
+def test_only_a_leading_command_narrows_the_parser(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    # Help asked for before a command is the full top-level help.
+    code, out, err = parser_exit(capsys, ["-h", "write"])
+    assert (code, err) == (0, "")
+    assert out == parser_exit(capsys, ["--help"])[1]
+    assert out.startswith(USAGE["womcode"])
+    for name, help_text, _, _ in cli._COMMANDS:
+        assert re.search(rf"^    {name} +{re.escape(help_text)}$", out, re.M)
+    code, out, err = parser_exit(capsys, ["nope"])
+    assert (code, out) == (2, "")
+    assert err.startswith(USAGE["womcode"]) and "invalid choice" in err
+    # An option before the command is reported by the command it precedes.
+    code, out, err = parser_exit(capsys, ["--bogus", "write", "--file", "s.wom", "3"])
+    assert (code, out) == (2, "")
+    assert err == f"{USAGE['write']}womcode write: error: unrecognized arguments: --bogus\n"
+
+
+def parsed(parser, argv):
+    """What `parser` makes of `argv`, with the handler and the subparser
+    compared by name."""
+    args, extra = parser.parse_known_args(argv)
+    fields = dict(vars(args), func=args.func.__name__, parser=args.parser.prog)
+    return fields, extra
+
+
+def test_one_row_parser_parses_as_the_full_parser(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    transcript = json.loads((Path(__file__).parent / "transcript.json").read_text())
+    argvs = [step["argv"] for step in transcript]
+    argvs += [[name, *rest] for name, rest in REQUIRED_ARGS.items()]
+    for argv in argvs:
+        one_row = cli.build_parser(argv)
+        assert one_row.format_usage() == f"usage: womcode [-h] {{{argv[0]}}} ...\n"
+        assert parsed(one_row, argv) == parsed(cli.build_parser(), argv), argv
+
+
 def test_module_entry_point_propagates_exit_codes(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)

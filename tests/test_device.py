@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,7 +16,7 @@ from womcode.device import (
     save_state,
     symbols_to_bits,
 )
-from womcode.errors import CorruptStateError, DomainError, WriteOnceViolation
+from womcode.errors import CorruptStateError, DomainError, WriteOnceViolation, as_ints
 from womcode.planner import CodeParams, plan
 from womcode.wom_codec import MemoryImage, encode_write, fresh_image
 
@@ -271,3 +273,31 @@ class TestStateFile:
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(CorruptStateError):
             load_state(tmp_path / "absent.wom")
+
+
+def test_short_tuples_leave_the_free_lists_alone(tmp_path):
+    # On CPython 3.10-3.13, tuple() of an iterator allocates 10 slots and
+    # shrinks them; the result of length t != 10, t < 20, is then freed onto
+    # the size-t free list it was never taken from.  Those lists grow to 2000
+    # tuples each, and only a full collection empties them: as_ints built
+    # as tuple(map(...)) held about 156 KB per length over 5000 calls.
+    path = tmp_path / "code.wom"
+    save_state(path, SMALL, WitArray(SMALL.n))
+    lists = [list(range(length)) for length in range(2, 17)]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()  # empties the free lists, so that each can grow here
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for values in lists:
+            for _ in range(5000):
+                as_ints(values, "values")
+        for _ in range(5000):
+            load_state(path)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+    assert grown < 32 * 1024
