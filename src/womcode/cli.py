@@ -147,8 +147,6 @@ def cmd_plan(args) -> Output:
 
 
 def _load_session(path: str) -> tuple[CodeParams, WitArray, MemoryImage]:
-    if not path:
-        raise DomainError("this command needs --file pointing at a session file")
     if not os.path.exists(path):
         raise DomainError(f"no session file at {path}")
     params, arr = load_state(path)
@@ -350,7 +348,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (WomCodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-
-
-if __name__ == "__main__":
-    sys.exit(main())

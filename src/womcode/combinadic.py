@@ -85,9 +85,7 @@ def unrank(index: int, n: int, k: int) -> list[int]:
     does not exceed what is left of the index.
     """
     index, n, k = as_int(index, "index"), as_int(n, "n"), as_int(k, "k")
-    if n < 0 or k < 0:
-        raise DomainError(f"unrank needs nonnegative n and k, got ({n}, {k})")
-    total = binomial(n, k)
+    total = binomial(n, k)  # rejects a negative n or k
     if not 0 <= index < total:
         raise DomainError(f"index {index} out of range for {n} choose {k} = {total}")
     bits = [0] * n

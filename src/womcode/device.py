@@ -102,11 +102,9 @@ class WitArray:
 
     def __init__(self, n: int, wits: str | None = None):
         n = as_int(n, "wit count")
-        if n < 0:
-            raise DomainError(f"wit count must be nonnegative, got {n}")
         if wits is None:
             wits = "0" * n
-        if not _is_wit_string(wits) or len(wits) != n:
+        if not _is_wit_string(wits) or len(wits) != n:  # refuses every n < 0 too
             raise DomainError("wits must be a string of n characters 0 or 1")
         self.n = n
         self.word = int(wits, 2) if n else 0
@@ -195,8 +193,8 @@ def load_state(path: str | os.PathLike) -> tuple[CodeParams, WitArray]:
     try:
         m = int(fields["m"])
         t = int(fields["t"])
-        v = tuple([int(x) for x in fields["v"].split(",")])
-        h = tuple([int(x) for x in fields["h"].split(",")])
+        v = [int(x) for x in fields["v"].split(",")]
+        h = [int(x) for x in fields["h"].split(",")]
         wits = fields["wits"]
     except (KeyError, ValueError) as exc:
         fail(f"malformed field ({exc})")

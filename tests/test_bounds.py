@@ -98,6 +98,7 @@ class TestRate:
     def test_trivial_code(self):
         assert rate(CodeParams(m=2, v=(2,), h=(1,))) == pytest.approx(0.5)
         assert code_rate([2], 1) == pytest.approx(1.0)
+        assert code_rate([1, 4], 2) == 1.0  # a write of one message stores 0 bits
 
     def test_table_row(self):
         params = plan(2, [2**56] * 7)

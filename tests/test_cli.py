@@ -65,8 +65,16 @@ class TestPlanCommand:
         assert "error" in err
         code, _, _ = run(capsys, "plan", "--bits", "3")
         assert code == 3
-        code, _, _ = run(capsys, "plan")
-        assert code == 3
+        assert run(capsys, "plan") == (
+            3, "", "error: need --v or --bits to fix the write cardinalities\n"
+        )
+        assert run(capsys, "plan", "--v", "7,2", "--writes", "3") == (
+            3, "", "error: --writes 3 disagrees with 2 values in --v\n"
+        )
+        # --bits 0 is a valid count of a cardinality that plan refuses.
+        assert run(capsys, "plan", "--bits", "0", "--writes", "2") == (
+            3, "", "error: every message cardinality must be at least 2\n"
+        )
 
     def test_two_2048_bit_writes(self, capsys):
         code, out, _ = run(
@@ -126,10 +134,14 @@ class TestPlanCommand:
             assert (code, out) == (3, "")
             assert err == f"error: m must be at most 4096, got {m}\n"
 
-    def test_usage_error_exit_code(self):
+    def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["plan", "--m", "notanumber"])
         assert info.value.code == 2
+        for value, reason in (("abc", "not an integer: 'abc'"), ("-3", "must be nonnegative: -3")):
+            code, out, err = parser_exit(capsys, ["plan", "--v", value])
+            assert (code, out) == (2, "")
+            assert err.endswith(f"womcode plan: error: argument --v: {reason}\n")
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "plan", "--v", "7,2", "--format", "machine")
@@ -266,6 +278,7 @@ class TestSessionCommands:
         code, _, err = run(capsys, "read", "--file", str(tmp_path / "nope.wom"))
         assert code == 3
         assert "no session file" in err
+        assert run(capsys, "read", "--file", "") == (3, "", "error: no session file at \n")
 
     def test_plan_refuses_overwrite(self, session, capsys):
         before = Path(session).read_text()
@@ -365,6 +378,8 @@ class TestRatesCommand:
     def test_bad_tmax(self, capsys):
         code, _, _ = run(capsys, "rates", "--tmax", "1")
         assert code == 3
+        code, out, _ = run(capsys, "rates", "--tmax", "2")
+        assert code == 0 and len(out.splitlines()) == 2  # header + t = 2
 
 
 # What each subcommand needs before argparse reaches an unknown flag.
@@ -447,7 +462,13 @@ def test_only_a_leading_command_narrows_the_parser(capsys, monkeypatch):
     code, out, err = parser_exit(capsys, ["--bogus", "write", "--file", "s.wom", "3"])
     assert (code, out) == (2, "")
     assert err == f"{USAGE['write']}womcode write: error: unrecognized arguments: --bogus\n"
-
+    # main() with no argv narrows by sys.argv, as the console script calls it.
+    build, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda argv: built.append(argv) or build(argv))
+    monkeypatch.setattr(sys, "argv", ["womcode", "table", "--format", "machine"])
+    assert cli.main() == 0
+    assert built == [["table", "--format", "machine"]]
+    assert json.loads(capsys.readouterr().out)["rows"][0]["t"] == 2
 
 def parsed(parser, argv):
     """What `parser` makes of `argv`, with the handler and the subparser

@@ -186,5 +186,6 @@ def test_validation_errors():
         combinadic.unrank(35, 7, 3)  # C(7,3) = 35, so max index is 34
     with pytest.raises(DomainError):
         combinadic.unrank(-1, 7, 3)
-    with pytest.raises(DomainError):
+    # A negative n or k is binomial's to refuse.
+    with pytest.raises(DomainError, match=r"^binomial arguments must be nonnegative, got \(-1, 0\)$"):
         combinadic.unrank(0, -1, 0)

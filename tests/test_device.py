@@ -102,7 +102,7 @@ class TestWitArray:
         assert WitArray(0, "").serialize() == ""
 
     def test_constructor_checks(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="string of n characters"):
             WitArray(-1)
         with pytest.raises(DomainError):
             WitArray(4, "011")
@@ -139,11 +139,16 @@ class TestWitArray:
         arr.apply_image(image)
         assert arr.read_image(params).symbols == image.symbols
 
-    def test_size_mismatch(self):
+    def test_size_mismatch(self, tmp_path):
         with pytest.raises(DomainError):
             WitArray(6).apply_image(fresh_image(SMALL))
-        with pytest.raises(DomainError):
-            WitArray(6).read_image(SMALL)
+        # 5 wits at m = 2 would still read as h_1 = 2 symbols.
+        for n in (5, 6):
+            with pytest.raises(DomainError, match=f"^array has {n} wits, code uses 4$"):
+                WitArray(n).read_image(SMALL)
+            with pytest.raises(DomainError, match=f"^array has {n} wits, code uses 4$"):
+                save_state(tmp_path / "code.wom", SMALL, WitArray(n))
+        assert not list(tmp_path.iterdir())
 
     def test_violation_iff_any_bit_clears(self):
         rng = random.Random(99)
@@ -204,6 +209,10 @@ class TestStateFile:
         assert path.read_text() == (
             "womstate 1\nm 2\nt 2\nv 7,2\nh 2,1\nwits 0011\n"
         )
+        # Blank lines are skipped (README, Session file format).
+        path.write_text("womstate 1\n\nm 2\nt 2\n \nv 7,2\nh 2,1\nwits 0011\n\n")
+        params, loaded = load_state(path)
+        assert (params, loaded.serialize()) == (SMALL, "0011")
 
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "code.wom"

@@ -111,6 +111,7 @@ def plain(result):
 
 def test_all_is_pinned():
     assert sorted(womcode.__all__) == sorted(PUBLIC | {"__version__"})
+    assert all(hasattr(womcode, name) for name in womcode.__all__)
 
 
 def test_every_int_parameter_has_a_row():

@@ -56,6 +56,7 @@ class TestDetectGeneration:
 class TestEraseTo:
     def test_fresh_to_one_zero(self):
         assert erase_to(fresh_image(SMALL), 1).symbols == (0, 3)
+        assert erase_to(fresh_image(SMALL), 0).symbols == (3, 3)
 
     def test_idempotent(self):
         assert erase_to(img(SMALL, 0, 3), 1).symbols == (0, 3)
