@@ -18,7 +18,7 @@ Each mutant is written into a copy of the checkout in a temporary
 directory, so the checkout is only read.  Two workers run pytest on their
 copies: first the fast oracle set ``SCREEN``, then all of ``tests/`` for a
 mutant that passed it.  A mutant that fails a test, or runs past its
-timeout, is killed.  On a 2-core machine the run takes about half an hour.
+timeout, is killed.  On a 2-core machine the run takes about 25 minutes.
 
 A survivor is dead code (delete it), behaviour that no test pins (add a
 test at the public surface or the CLI), or an equivalent mutant, which no

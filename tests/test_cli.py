@@ -470,6 +470,7 @@ def test_only_a_leading_command_narrows_the_parser(capsys, monkeypatch):
     assert built == [["table", "--format", "machine"]]
     assert json.loads(capsys.readouterr().out)["rows"][0]["t"] == 2
 
+
 def parsed(parser, argv):
     """What `parser` makes of `argv`, with the handler and the subparser
     compared by name."""
