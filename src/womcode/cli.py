@@ -189,7 +189,7 @@ def cmd_erase_status(args) -> Output:
     params, arr, image = _load_session(args.file)
     generation = detect_generation(image)
     remaining = params.t + 1 - next_generation(image)
-    programmed = arr.word.bit_count()
+    programmed = arr.wits.count("1")
     lines = [
         f"generation: {generation}",
         f"zero symbols: {image.zero_count} of {params.h[0]}",

@@ -6,10 +6,10 @@ any update that would clear a programmed wit raises
 wits [j*m, (j+1)*m) with the most significant bit at the lowest wit index,
 so for m = 2 the symbol sequence (2, 3) serializes to wits "1011".
 
-In memory the n wits are one int, ``WitArray.word``, with wit 0 as its most
-significant of n bits: ``format(word, f"0{n}b")`` is the wit string and
-``int(wits, 2)`` reads it back.  The write-once check is then
-``word & ~new == 0`` and the programmed count ``word.bit_count()``.
+In memory the n wits are ``WitArray.wits``, the wit string the session
+file stores, wit 0 first.  The write-once check reads two such strings'
+ASCII bytes as big-endian ints, which differ only in each byte's low bit,
+and tests ``old & ~new == 0``.
 
 Images cross this boundary as wit strings.  A :class:`MemoryImage` has
 checked its symbols and :meth:`WitArray.read_image` checks n = m*h_1, so the
@@ -104,10 +104,12 @@ class WitArray:
         n = as_int(n, "wit count")
         if wits is None:
             wits = "0" * n
-        if not _is_wit_string(wits) or len(wits) != n:  # refuses every n < 0 too
-            raise DomainError("wits must be a string of n characters 0 or 1")
+        if not _is_wit_string(wits):
+            raise DomainError("wit string must be ASCII 0/1")
+        if len(wits) != n:  # refuses every n < 0 too
+            raise DomainError(f"wit string length {len(wits)} != n = {n}")
         self.n = n
-        self.word = int(wits, 2) if n else 0
+        self.wits = wits
 
     def apply_image(self, image: MemoryImage) -> None:
         """Program the array to hold `image`, refusing any 1 -> 0 transition."""
@@ -116,27 +118,26 @@ class WitArray:
             raise DomainError(
                 f"image needs {len(target)} wits, array has {self.n}"
             )
-        new = int(target, 2) if target else 0
-        if self.word & ~new:
+        old = int.from_bytes(self.wits.encode(), "big")
+        if old & ~int.from_bytes(target.encode(), "big"):
             cleared = [
-                i for i, (cur, bit) in enumerate(zip(self.serialize(), target))
+                i for i, (cur, bit) in enumerate(zip(self.wits, target))
                 if cur > bit
             ]
             raise WriteOnceViolation(
                 f"image would clear programmed wits at {cleared}"
             )
-        self.word = new
+        self.wits = target
 
     def read_image(self, params: CodeParams) -> MemoryImage:
         """Interpret the wits as a symbol image of `params`."""
         if self.n != params.n:
             raise DomainError(f"array has {self.n} wits, code uses {params.n}")
-        return MemoryImage(params, bits_to_symbols(self.serialize(), params.m))
+        return MemoryImage(params, bits_to_symbols(self.wits, params.m))
 
     def serialize(self) -> str:
-        """The wit string, wit 0 first (``format(0, "00b")`` is "0", so n = 0
-        is its own case)."""
-        return format(self.word, f"0{self.n}b") if self.n else ""
+        """The wit string, wit 0 first."""
+        return self.wits
 
 
 def save_state(path: str | os.PathLike, params: CodeParams, array: WitArray) -> None:
@@ -150,7 +151,7 @@ def save_state(path: str | os.PathLike, params: CodeParams, array: WitArray) -> 
             f"t {params.t}",
             "v " + ",".join(str(x) for x in params.v),
             "h " + ",".join(str(x) for x in params.h),
-            f"wits {array.serialize()}",
+            f"wits {array.wits}",
         ]
     )
     tmp = f"{os.fspath(path)}.tmp"
@@ -198,19 +199,16 @@ def load_state(path: str | os.PathLike) -> tuple[CodeParams, WitArray]:
         wits = fields["wits"]
     except (KeyError, ValueError) as exc:
         fail(f"malformed field ({exc})")
-    if t != len(v) or t != len(h):
-        fail(f"t={t} disagrees with {len(v)} cardinalities / {len(h)} windows")
-    if not _is_wit_string(wits):
-        fail("wit string must be ASCII 0/1")
     try:
         params = CodeParams(m=m, v=v, h=h)
+        if t != params.t:
+            fail(f"t={t} disagrees with {params.t} cardinalities / {params.t} windows")
+        # Built before validate, whose capacity walks take time growing with
+        # h: once the wit string has m*h_1 wits, the file's size bounds that work.
+        array = WitArray(params.n, wits)
     except DomainError as exc:
         fail(str(exc))
-    # Checked before validate, whose capacity walks take time growing with
-    # h: once the wit string matches m*h_1, the file's size bounds that work.
-    if len(wits) != params.n:
-        fail(f"wit string length {len(wits)} != m*h_1 = {params.n}")
     problems = validate(params)
     if problems:
         fail("; ".join(f"{p.condition}: {p.detail}" for p in problems))
-    return params, WitArray(params.n, wits)
+    return params, array

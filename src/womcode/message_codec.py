@@ -44,10 +44,10 @@ erased symbol value 2^m - 1.  Both bijections split and join their digits
 with one private pair, :func:`_digits` and :func:`_number`: one divmod per
 digit, and Horner's rule.
 
-Python work is per written slot only: the mask goes to and from
-:mod:`womcode.combinadic` as 0/1 values, the written slots are found with
-``compress`` and ``filter``, and the digit pair takes one Python step per
-digit.
+The mask goes to and from :mod:`womcode.combinadic` as 0/1 values, the
+written slots are found with ``compress`` and ``filter``, and the digit
+pair takes one Python step per digit.  Decoding works per written slot;
+encoding's ``unrank`` also steps the mask's zeros, up to h - k of them.
 """
 
 from __future__ import annotations

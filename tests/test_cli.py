@@ -234,9 +234,21 @@ class TestSessionCommands:
         with open(session, "w") as fh:
             fh.write(f"womstate 1\nm 2\nt 2\nv 7,2\nh 2,1\nwits {wits}\n")
         code, out, err = run(capsys, "read", "--file", session)
-        assert code == 5
-        assert out == ""
-        assert "wit string must be ASCII 0/1" in err
+        assert (code, out) == (5, "")
+        assert err == (
+            f"error: corrupt session state: state file {session}: "
+            "wit string must be ASCII 0/1\n"
+        )
+
+    def test_wrong_length_wit_string_names_n_and_length(self, session, capsys):
+        with open(session, "w") as fh:
+            fh.write("womstate 1\nm 2\nt 2\nv 7,2\nh 2,1\nwits 00110\n")
+        code, out, err = run(capsys, "read", "--file", session)
+        assert (code, out) == (5, "")
+        assert err == (
+            f"error: corrupt session state: state file {session}: "
+            "wit string length 5 != n = 4\n"
+        )
 
     def test_negative_window_in_file_is_corrupt(self, session, capsys):
         with open(session, "w") as fh:
@@ -270,9 +282,11 @@ class TestSessionCommands:
         start = time.perf_counter()
         code, out, err = run(capsys, "read", "--file", session)
         assert time.perf_counter() - start < 0.5
-        assert code == 5
-        assert out == ""
-        assert err.startswith("error: ") and "wit string length 4" in err
+        assert (code, out) == (5, "")
+        assert err == (
+            f"error: corrupt session state: state file {session}: "
+            "wit string length 4 != n = 200000000\n"
+        )
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "read", "--file", str(tmp_path / "nope.wom"))

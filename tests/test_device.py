@@ -78,8 +78,8 @@ class TestLayout:
 class TestWitArray:
     def test_program_sets_and_counts(self):
         arr = WitArray(4, "0101")
-        assert arr.word == 0b0101
-        assert arr.word.bit_count() == 2
+        assert arr.wits == "0101"
+        assert arr.wits.count("1") == 2
         assert arr.serialize() == "0101"
 
     def test_program_is_idempotent(self):
@@ -89,28 +89,33 @@ class TestWitArray:
         arr.apply_image(image)
         assert arr.serialize() == "0110"
 
-    def test_word_holds_wit_zero_most_significant(self):
+    def test_wits_hold_wit_zero_first(self):
         arr = WitArray(6, "100110")
-        assert arr.word == 0b100110
+        assert arr.wits == "100110"
+        assert int(arr.wits, 2) == 0b100110  # wit 0 is the most significant
         assert arr.serialize() == "100110"
         assert WitArray(3, "001").serialize() == "001"
 
     def test_zero_wits(self):
         arr = WitArray(0)
-        assert arr.word == 0
+        assert arr.wits == ""
         assert arr.serialize() == ""
         assert WitArray(0, "").serialize() == ""
+        params = CodeParams(m=2, v=(2,), h=(0,))
+        arr.apply_image(MemoryImage(params, ()))
+        assert arr.wits == ""
+        assert arr.read_image(params).symbols == ()
 
     def test_constructor_checks(self):
-        with pytest.raises(DomainError, match="string of n characters"):
+        with pytest.raises(DomainError, match=r"^wit string length 0 != n = -1$"):
             WitArray(-1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^wit string length 3 != n = 4$"):
             WitArray(4, "011")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^wit string must be ASCII 0/1$"):
             WitArray(4, "0121")
         # A wit string that is not a str is refused before its length is read.
         for wits in (b"0011", ["0", "0", "1", "1"], 11):
-            with pytest.raises(DomainError, match="string of n characters"):
+            with pytest.raises(DomainError, match="^wit string must be ASCII 0/1$"):
                 WitArray(4, wits)
 
     def test_apply_image_programs_deltas(self):
@@ -186,15 +191,13 @@ class TestWitArray:
                     ]
                 image = MemoryImage(params, tuple(spec.symbols(target, m)))
                 arr = WitArray(params.n, wit_string(current))
-                before = arr.word
                 try:
                     expected = spec.program(current, spec.wits(image.symbols, m))
                 except spec.WriteOnceViolation as exc:
                     with pytest.raises(WriteOnceViolation) as got:
                         arr.apply_image(image)
                     assert str(got.value) == str(exc)
-                    assert arr.word == before
-                    assert arr.serialize() == wit_string(current)
+                    assert arr.wits == wit_string(current)  # state unchanged
                 else:
                     arr.apply_image(image)
                     assert arr.serialize() == wit_string(expected)
@@ -223,8 +226,7 @@ class TestStateFile:
         save_state(path, params, arr)
         loaded_params, loaded_arr = load_state(path)
         assert loaded_params == params
-        assert loaded_arr.word == arr.word
-        assert loaded_arr.serialize() == arr.serialize()
+        assert loaded_arr.wits == arr.wits == symbols_to_bits(image.symbols, params.m)
 
     def test_save_is_atomic_replacement(self, tmp_path):
         path = tmp_path / "code.wom"

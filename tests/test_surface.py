@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import inspect
 import re
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +113,22 @@ def plain(result):
 def test_all_is_pinned():
     assert sorted(womcode.__all__) == sorted(PUBLIC | {"__version__"})
     assert all(hasattr(womcode, name) for name in womcode.__all__)
+
+
+def test_version_is_stated_once():
+    """``womcode.__version__`` is the version; pyproject.toml only names it.
+    The file is read as text, as Python 3.10 has no tomllib."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    tables, table = {}, None
+    for line in text.splitlines():
+        if line.startswith("["):
+            table = line.strip("[]")
+        elif line.strip():
+            key, _, value = line.partition("=")
+            tables.setdefault(table, {})[key.strip()] = value.strip()
+    assert "version" not in tables["project"]
+    assert tables["project"]["dynamic"] == '["version"]'
+    assert tables["tool.setuptools.dynamic"] == {"version": '{attr = "womcode.__version__"}'}
 
 
 def test_every_int_parameter_has_a_row():
