@@ -50,12 +50,15 @@ def rank(bits: Sequence[int]) -> int:
 
     The result lies in [0, C(n, k) - 1] for a length-n vector of weight k.
     Each one at position i with j ones left (itself included) adds C(i, j).
+    A bytes argument, the form a decoded image's slot mask takes, is read
+    as it is.
     """
-    try:
-        # iter() keeps an int argument from reading as a length.
-        bits = bytes(iter(bits))
-    except (TypeError, ValueError):
-        raise DomainError("bit vector elements must be 0 or 1") from None
+    if not isinstance(bits, bytes):
+        try:
+            # iter() keeps an int argument from reading as a length.
+            bits = bytes(iter(bits))
+        except (TypeError, ValueError):
+            raise DomainError("bit vector elements must be 0 or 1") from None
     n = len(bits)
     j = bits.count(1)
     if bits.count(0) + j != n:

@@ -17,7 +17,9 @@ two conversions check nothing.  For m <= 8 a symbol fits in a byte, and the
 conversion works on bit planes: plane p, the p-th wit of every symbol, is
 the string slice ``wits[p::m]``.  Read as one byte per wit, a plane is an
 int whose bytes are 0 or 1; shifted by m-1-p and added up, the planes give
-an int whose bytes are the symbols.  Writing goes the other way through
+an int whose bytes are the symbols, and :func:`bits_to_symbols` returns
+those bytes as they are, which :class:`MemoryImage` reads and classifies
+with no Python step per symbol.  Writing goes the other way through
 ``bytearray`` slice assignment.  Both directions are a handful of C-level
 operations per plane, with no Python step per symbol.  For m > 8, which
 no benchmark workload reaches, each symbol is formatted or parsed on its own.
@@ -46,15 +48,12 @@ import os
 from typing import Sequence
 
 from .errors import CorruptStateError, DomainError, WriteOnceViolation, as_int
-from .planner import CodeParams, validate
-from .wom_codec import MemoryImage
+from .planner import CodeParams, validate, write_window
+from .wom_codec import BYTE_M, MemoryImage
 
 STATE_MAGIC = "womstate"
 STATE_VERSION = 1
 STATE_FIELDS = ("m", "t", "v", "h", "wits")
-
-# Symbols of at most this many wits fit in a byte (2^m - 1 <= 255).
-BYTE_M = 8
 
 
 def _is_wit_string(wits: object) -> bool:
@@ -84,16 +83,16 @@ def symbols_to_bits(symbols: Sequence[int], m: int) -> str:
     return "".join(format(s, f"0{m}b") for s in symbols)
 
 
-def bits_to_symbols(wits: str, m: int) -> list[int]:
+def bits_to_symbols(wits: str, m: int) -> Sequence[int]:
     """Inverse of :func:`symbols_to_bits` for a wit string of whole m-wit
-    symbols."""
+    symbols: one byte per symbol for m <= 8, else a list."""
     if m <= BYTE_M:
         raw = wits.encode("ascii")
         word = 0
         for p in range(m):
             plane = raw[p::m].translate(_WIT_TO_BIT)
             word |= int.from_bytes(plane, "big") << (m - 1 - p)
-        return list(word.to_bytes(len(raw) // m, "big"))
+        return word.to_bytes(len(raw) // m, "big")
     return [int(wits[i:i + m], 2) for i in range(0, len(wits), m)]
 
 
@@ -203,6 +202,13 @@ def load_state(path: str | os.PathLike) -> tuple[CodeParams, WitArray]:
         params = CodeParams(m=m, v=v, h=h)
         if t != params.t:
             fail(f"t={t} disagrees with {params.t} cardinalities / {params.t} windows")
+        if params.h[0] < 0:
+            # No wit string fits a negative n: name the window that cannot
+            # exist, as validate would, and run no capacity walk.
+            try:
+                write_window(params.m, params.h, 1)
+            except DomainError as exc:
+                fail(f"window-order: {exc}")
         # Built before validate, whose capacity walks take time growing with
         # h: once the wit string has m*h_1 wits, the file's size bounds that work.
         array = WitArray(params.n, wits)

@@ -13,11 +13,20 @@ first of several writes), the non-erased ones otherwise.
 :func:`next_generation` holds the one rule for which write an image takes
 next: the all-zero image takes write 1.
 
-An image is a tuple of ints that counts its zero symbols once, when it is
-built, so the generation checks of one write or read share that count.  A
-write is one rule, held by one function: erase every nonzero symbol, give
-the first h_g zeros the slot values in order, and erase the zeros after
-them.  :func:`erase_to` is the same rule with every slot value 0.
+An image is a tuple of ints that classifies its symbols once, when it is
+built: one byte per symbol, 0 for a zero, 1 for a written value and 2 for
+the erased value.  The generation checks of one write or read share the
+count of zeros, and :func:`decode` takes its live symbols, its slot mask
+and its written values from the classes with ``translate`` and
+``compress``, with no Python step per symbol.  For m <= 8 a symbol fits in
+a byte, so ``bytes`` converts a bytes, list or tuple of symbols and rejects
+what is not an int in [0, 255], and two ``translate`` calls check the range
+and classify.  An image that fails there, any other iterable of symbols
+and every image for m > 8 go through the per-symbol checks, which word
+every fault.  A write is one rule, held by
+one function: erase every nonzero symbol, give the first h_g zeros the slot
+values in order, and erase the zeros after them.  :func:`erase_to` is the
+same rule with every slot value 0.
 
 Everything here is pure: images go in, new images come out.  Wit-level
 monotonicity is a consequence of the construction (symbols only move
@@ -28,6 +37,7 @@ monotonicity is a consequence of the construction (symbols only move
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import NamedTuple, Sequence
 
 from .errors import CapacityError, CorruptStateError, DomainError, as_int, as_ints
@@ -40,27 +50,66 @@ from .message_codec import (
 from .planner import CodeParams, write_window
 
 
+# Symbols of at most this many wits fit in a byte (2^m - 1 <= 255).
+BYTE_M = 8
+# Per m <= 8: the byte values that are symbols, and each byte's class,
+# 0 zero, 1 written, 2 erased (2^m - 1); the values above it are never read.
+_SYMBOL_BYTES = {m: bytes(range(2**m)) for m in range(2, BYTE_M + 1)}
+_CLASS_OF_BYTE = {
+    m: bytes([0] + [1] * (2**m - 2) + [2] * (257 - 2**m)) for m in range(2, BYTE_M + 1)
+}
+# Classes -> 0/1 bytes: an erased symbol read as a written value (the first
+# of several writes, whose alphabet holds the erased value) or as not
+# written, and the symbols that are not erased, which every other write reads.
+_ERASED_WRITTEN = bytes.maketrans(b"\x02", b"\x01")
+_ERASED_UNWRITTEN = bytes.maketrans(b"\x02", b"\x00")
+_NOT_ERASED = bytes.maketrans(b"\x00\x02", b"\x01\x00")
+_ERASED = b"\x02"
+
+
 @dataclass(frozen=True)
 class MemoryImage:
-    """Symbol values of the h_1 groups, index 0 = leftmost, and their count
-    of zeros, taken once and left out of ==, hash and repr."""
+    """Symbol values of the h_1 groups, index 0 = leftmost, their classes
+    (one byte each: 0 zero, 1 written, 2 erased) and their count of zeros,
+    both taken once and left out of ==, hash and repr."""
 
     params: CodeParams
     symbols: tuple[int, ...]
     zero_count: int = field(init=False, repr=False, compare=False)
+    classes: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        symbols = as_ints(self.symbols, "symbol values")
+        params, symbols = self.params, self.symbols
+        top = params.erased
+        data = None
+        # bytes() reads a bytes, list or tuple value by value and takes only
+        # ints in [0, 255]; any other iterable is read once, below.
+        if params.m <= BYTE_M and isinstance(symbols, (bytes, list, tuple)):
+            try:
+                data = bytes(symbols)
+            except (TypeError, ValueError):
+                pass  # the per-symbol checks below word the fault
+            else:
+                if data.translate(None, _SYMBOL_BYTES[params.m]):  # a value above 2^m - 1
+                    data = None
+        if data is None:
+            symbols = as_ints(symbols, "symbol values")
+        else:
+            symbols = tuple(data)
         object.__setattr__(self, "symbols", symbols)
-        if len(symbols) != self.params.h[0]:
+        if len(symbols) != params.h[0]:
             raise DomainError(
-                f"image must hold {self.params.h[0]} symbols, got {len(symbols)}"
+                f"image must hold {params.h[0]} symbols, got {len(symbols)}"
             )
-        top = self.params.erased
-        values = set(symbols)  # a few distinct values: range-check those
-        if values and not 0 <= min(values) <= max(values) <= top:
-            raise DomainError(f"symbol values must lie in [0, {top}]")
-        object.__setattr__(self, "zero_count", symbols.count(0))
+        if data is None:
+            values = set(symbols)  # a few distinct values: range-check those
+            if values and not 0 <= min(values) <= max(values) <= top:
+                raise DomainError(f"symbol values must lie in [0, {top}]")
+            classes = bytes([(s != 0) + (s == top) for s in symbols])
+        else:
+            classes = data.translate(_CLASS_OF_BYTE[params.m])
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "zero_count", classes.count(0))
 
 
 class GenerationReading(NamedTuple):
@@ -161,20 +210,26 @@ def decode(image: MemoryImage) -> GenerationReading:
     except DomainError as exc:
         raise CorruptStateError(f"undecodable write {generation}: {exc}") from exc
     # A window whose alphabet includes the erased value (the first of
-    # several writes) makes every symbol live.
+    # several writes) makes every symbol live, an erased one as the written
+    # value q; any other window's live symbols are those not erased.  The
+    # mask holds the live symbols' classes as 0/1, and `written` picks the
+    # symbols that hold written values.
+    classes = image.classes
     if window.q == erased:
-        live = image.symbols
+        mask = written = classes.translate(_ERASED_WRITTEN)
     else:
-        live = [s for s in image.symbols if s != erased]
-    if len(live) != window.h:
+        mask = classes.translate(None, _ERASED)
+        written = classes.translate(_ERASED_UNWRITTEN)
+    if len(mask) != window.h:
         write = "last write" if generation == t else f"write {generation}"
         raise CorruptStateError(
-            f"{write} should leave {window.h} live symbols, found {len(live)}"
+            f"{write} should leave {window.h} live symbols, found {len(mask)}"
         )
     if generation == t:
-        message = last_write_decode(live, window)
+        live = compress(image.symbols, classes.translate(_NOT_ERASED))
+        message = last_write_decode(list(live), window)
     else:
-        message = payload_to_message(live, window)
+        message = payload_to_message(mask, list(compress(image.symbols, written)), window)
 
     if message >= params.v[generation - 1]:
         raise CorruptStateError(

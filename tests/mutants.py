@@ -77,11 +77,20 @@ _COVERS = (
     "window_covers' downward walk gives the same answer at kmax == h; "
     "the branch only skips to the closed form"
 )
+_BYTE_SYMBOLS = (
+    "the per-symbol checks give the same symbols, classes and error texts as bytes() and "
+    "translate for m <= 8; the bytes path is the measured fast path of every session load "
+    "(ROADMAP audit)"
+)
+_LOG_SCREEN = (
+    "the log screen only returns True early where the top block covers need; "
+    "without it, or when it declines, the exact walk gives the same answer"
+)
 EQUIVALENT = {
     ("device", "boundary", "if m <= BYTE_M:"): _BIT_PLANES,
     ("device", "delete", "if m <= BYTE_M:"): _BIT_PLANES,
     ("device", "drop-return", 'return wits.decode("ascii")'): _BIT_PLANES,
-    ("device", "drop-return", 'return list(word.to_bytes(len(raw) // m, "big"))'): _BIT_PLANES,
+    ("device", "drop-return", 'return word.to_bytes(len(raw) // m, "big")'): _BIT_PLANES,
     ("message_codec", "delete", "if window.kmax == h:"): _CLOSED_FORM,
     (
         "message_codec",
@@ -91,6 +100,22 @@ EQUIVALENT = {
     ("message_codec", "delete", "if k == h:"): _COVERS,
     ("message_codec", "negate", "if k == h:"): _COVERS,
     ("message_codec", "drop-return", "return window_capacity(window) >= need"): _COVERS,
+    ("message_codec", "delete", "if _top_block_covers(h, q, k, need):"): _LOG_SCREEN,
+    ("message_codec", "drop-return", "return True"): _LOG_SCREEN,
+    ("message_codec", "boundary", "if need < 1 or h >= 2**53:"): (
+        "need = 1 and h = 2^53 are inside what the screen handles, so declining "
+        "them leaves the answer to the exact walk"
+    ),
+    ("message_codec", "boundary", "return a - b - c + kq - ln_need > SCREEN_GUARD * (a + b + c + kq + ln_need)"): (
+        "a margin equal to the guard is still far beyond the rounding; only all-zero "
+        "terms meet it, where C(h, k) * q^k = 1 = need"
+    ),
+    ("wom_codec", "boundary", "if params.m <= BYTE_M and isinstance(symbols, (bytes, list, tuple)):"): (
+        _BYTE_SYMBOLS
+    ),
+    ("wom_codec", "delete", "if params.m <= BYTE_M and isinstance(symbols, (bytes, list, tuple)):"): (
+        _BYTE_SYMBOLS
+    ),
     ("message_codec", "boundary", "while total < need and k > window.kmin:"): (
         "adding one more block once total == need leaves total >= need true"
     ),
@@ -100,6 +125,9 @@ EQUIVALENT = {
     ("wom_codec", "delete", "zero_count: int = field(init=False, repr=False, compare=False)"): (
         "declares the attribute __post_init__ sets; without it zero_count is still "
         "set and still outside ==, hash and repr, and only dataclasses.fields() differs"
+    ),
+    ("wom_codec", "delete", "classes: bytes = field(init=False, repr=False, compare=False)"): (
+        "declares the attribute __post_init__ sets, as for zero_count"
     ),
     ("cli", "delete", "if reading.message != args.message:"): (
         "cmd_write's self-check is safety code: encode_write and decode agree on "

@@ -288,6 +288,28 @@ class TestSessionCommands:
             "wit string length 4 != n = 200000000\n"
         )
 
+    @pytest.mark.parametrize(
+        "h, text",
+        [
+            ("-1,-2", "window-order: write 1 needs h_2 >= 0, got -2"),
+            ("-1,1000000000", "window-order: write 1 needs h_1 > h_2, got -1 <= 1000000000"),
+            ("0,1000000000", "wit string length 4 != n = 0"),
+        ],
+    )
+    def test_negative_first_window_names_the_window(self, session, capsys, h, text):
+        # No wit string fits n = m*h_1 < 0, so window 1 is reported as
+        # validate words it; n = 0 is a wit string fault.  Both come before
+        # any capacity walk, so the huge h_2 stays cheap.
+        with open(session, "w") as fh:
+            fh.write(f"womstate 1\nm 2\nt 2\nv 7,2\nh {h}\nwits 0011\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "read", "--file", session)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (5, "")
+        assert err == (
+            f"error: corrupt session state: state file {session}: {text}\n"
+        )
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "read", "--file", str(tmp_path / "nope.wom"))
         assert code == 3

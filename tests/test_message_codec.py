@@ -9,9 +9,10 @@ import pytest
 import spec
 from womcode import combinadic
 from womcode.errors import CorruptStateError, DomainError
-from womcode.planner import M_LIMIT, CodeParams, write_window
+from womcode.planner import M_LIMIT, CodeParams, plan, write_window
 from womcode.message_codec import (
     _blocks,
+    _top_block_covers,
     _digits,
     _number,
     WriteWindow,
@@ -22,6 +23,12 @@ from womcode.message_codec import (
     window_capacity,
     window_covers,
 )
+
+
+def message_of(payload, window):
+    """payload_to_message on a payload tuple, split into its slot mask and
+    its written values, as decode passes them."""
+    return payload_to_message(bytes(map(bool, payload)), [v for v in payload if v], window)
 
 
 class TestDigits:
@@ -89,7 +96,7 @@ class TestWindowCapacity:
                 assert len(payload) == h and h - payload.count(0) == k
                 mask = [1 if value else 0 for value in payload]
                 assert combinadic.rank(mask) == (message - offset) // q**k
-                assert payload_to_message(payload, w) == message
+                assert message_of(payload, w) == message
 
     def test_covers_agrees_with_capacity_on_random_windows(self):
         rng = random.Random(8128)
@@ -106,6 +113,53 @@ class TestWindowCapacity:
             cap = window_capacity(w)
             for need in (1, cap - 1, cap, cap + 1, rng.randrange(1, cap + 2)):
                 assert window_covers(w, need) == (cap >= need), (w, need)
+
+
+class TestLogScreen:
+    """window_covers' logarithm screen answers only beyond its guard; every
+    other window goes through the exact walk."""
+
+    def test_planned_windows(self):
+        rng = random.Random(2024)
+        screened = total = 0
+        for case in range(320):
+            m = (2, 3, 4, 9)[case % 4]
+            t = rng.randrange(1, 9)
+            v = [rng.randrange(2, 2 ** rng.randrange(2, 300)) for _ in range(t)]
+            params = plan(m, v)
+            for g in range(1, t + 1):
+                w = write_window(m, params.h, g)
+                cap = window_capacity(w)
+                # v_g sits 1-6 bits under a planned window's capacity.
+                for need in (v[g - 1], 0, 1, cap - 1, cap, cap + 1):
+                    assert window_covers(w, need) == (cap >= need), (w, need)
+                total += 1
+                screened += _top_block_covers(w.h, w.q, w.kmax, v[g - 1])
+        # The screen decides most planned windows at their v_g.
+        assert screened > total // 2
+
+    def test_guard_defers_near_ties_at_large_h(self):
+        for h, q, kmin, kmax in [(10**6 + 7, 2, 1, 3), (10**6, 3, 0, 40), (2 * 10**6, 254, 1, 2)]:
+            w = WriteWindow(h=h, q=q, kmin=kmin, kmax=kmax)
+            top = combinadic.binomial(h, kmax) * q**kmax
+            cap = window_capacity(w)
+            for need in (top - 1, top, top + 1, cap - 1, cap, cap + 1):
+                # Within one of the top block or the capacity the logarithms
+                # cannot tell, so the exact walk answers.
+                assert not _top_block_covers(h, q, kmax, need), (w, need)
+                assert window_covers(w, need) == (cap >= need), (w, need)
+            assert _top_block_covers(h, q, kmax, top // 2)
+            assert window_covers(w, top // 2)
+
+    def test_no_logarithm_of_zero_or_of_a_huge_window(self):
+        assert not _top_block_covers(5, 2, 2, 0)
+        assert window_covers(WriteWindow(h=5, q=2, kmin=1, kmax=2), 0)
+        # h beyond 2^53 skips the screen: float(h) would overflow at 10^400.
+        w = WriteWindow(h=10**400, q=2, kmin=1, kmax=3)
+        cap = window_capacity(w)
+        assert not _top_block_covers(w.h, w.q, w.kmax, 2)
+        for need in (0, 2, cap, cap + 1):
+            assert window_covers(w, need) == (cap >= need)
 
 
 class TestCanonicalEnumeration:
@@ -132,7 +186,7 @@ class TestCanonicalEnumeration:
             assert len(expected) == window_capacity(w)
             for message, payload in enumerate(expected):
                 assert message_to_payload(message, w) == payload
-                assert payload_to_message(payload, w) == message
+                assert message_of(payload, w) == message
                 # The spec's arithmetic form keeps the order it enumerates.
                 assert spec.payload(message, (h, q, kmin, kmax)) == payload
                 assert spec.message(payload, (h, q, kmin, kmax)) == message
@@ -146,7 +200,7 @@ class TestCanonicalEnumeration:
                         seen = set()
                         for message in range(window_capacity(w)):
                             payload = message_to_payload(message, w)
-                            assert payload_to_message(payload, w) == message
+                            assert message_of(payload, w) == message
                             seen.add(payload)
                         assert len(seen) == window_capacity(w)
 
@@ -166,7 +220,7 @@ class TestCanonicalEnumeration:
             w = WriteWindow(h=h, q=q, kmin=kmin, kmax=min(h, kmin + rng.randrange(40)))
             message = rng.randrange(window_capacity(w))
             payload = message_to_payload(message, w)
-            assert payload_to_message(payload, w) == message
+            assert message_of(payload, w) == message
 
 
 def last_window(ht: int, m: int) -> WriteWindow:

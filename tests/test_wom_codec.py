@@ -339,10 +339,79 @@ def test_image_symbols_must_be_ints(params, symbols):
 def test_zero_count_is_derived_not_compared():
     image = img(SMALL, 0, 3)
     assert image.zero_count == 1
+    assert image.classes == b"\x00\x02"
     twin = MemoryImage(SMALL, [0, 3])
     object.__setattr__(twin, "zero_count", 2)
+    object.__setattr__(twin, "classes", b"\x01\x01")
     assert image == twin and hash(image) == hash(twin)
-    assert "zero_count" not in repr(image)
+    assert repr(image) == "MemoryImage(params=" + repr(SMALL) + ", symbols=(0, 3))"
+
+
+class Index:
+    """An int-like object that is not an int: it has only __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def symbol_classes(symbols, top):
+    """The classes by their definition: 0 zero, 2 erased (top), 1 written."""
+    return bytes(0 if s == 0 else 2 if s == top else 1 for s in symbols)
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_classes_match_the_per_symbol_definition(m):
+    rng = random.Random(2400 + m)
+    top = 2**m - 1
+    for _ in range(20):
+        h1 = rng.randrange(300)
+        params = CodeParams(m=m, v=(2,), h=(h1,))
+        # Zeros, erased symbols and written values, in shares that vary.
+        pool = (0, top, rng.randrange(1, top))
+        symbols = [
+            rng.choice(pool) if rng.random() < 0.7 else rng.randrange(top + 1) for _ in range(h1)
+        ]
+        # bytes holds values up to 255 only, so for m > 8 it gets the low byte.
+        low = [s & 255 for s in symbols]
+        for given, values in [
+            (symbols, symbols),
+            (tuple(symbols), symbols),
+            ([Index(s) for s in symbols], symbols),
+            (bytes(low), low),
+        ]:
+            image = MemoryImage(params, given)
+            assert type(image.symbols) is tuple and image.symbols == tuple(values)
+            assert image.classes == symbol_classes(values, top)
+            assert image.zero_count == values.count(0)
+            assert image == MemoryImage(params, tuple(values))
+
+
+@pytest.mark.parametrize("m", [2, 3, 8, 9])
+def test_image_fault_texts(m):
+    # m <= 8 converts with bytes and classifies with translate; a fault goes
+    # to the per-symbol checks, so every m words it the same way.
+    params = CodeParams(m=m, v=(2,), h=(3,))
+    not_int = "symbol values must be ints: '{}' object cannot be interpreted as an integer"
+    out_of_range = f"symbol values must lie in [0, {2**m - 1}]"
+    for symbols, text in [
+        ([0, 1.0, 1], not_int.format("float")),
+        ([0, "2", 1], not_int.format("str")),
+        ([0, -1, 1], out_of_range),
+        ([0, 2**m, 1], out_of_range),
+        ([0, 2**70, 1], out_of_range),
+        ([0, 2**m, 1.0], not_int.format("float")),  # every value converts first
+        ([0, -1], "image must hold 3 symbols, got 2"),  # then the count
+        ("012", not_int.format("str")),
+        (5, "symbol values must be ints: 'int' object is not iterable"),
+    ]:
+        given_as = (list, tuple, iter) if isinstance(symbols, list) else (lambda x: x,)
+        for given in map(lambda form: form(symbols), given_as):
+            with pytest.raises(DomainError) as info:
+                MemoryImage(params, given)
+            assert str(info.value) == text, (given, m)
 
 
 class TestAgainstSymbolLoops:
